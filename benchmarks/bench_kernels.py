@@ -6,7 +6,10 @@ restrictions and distances, and two end-to-end tasks (the alternating-sum
 antipode and one higher-compatibility axiom sweep).
 
 The backend is pinned per process, so this script re-launches itself once
-with SPECIES_FORGE_BACKEND=py and prints both columns.
+with SPECIES_FORGE_BACKEND=py and prints both columns.  Without an
+importable compiled kernel (species_forge._ckernels, built from the .pyx
+with Cython) both columns would be the pure kernel, so the script says so
+and exits 1 instead.
 
     python benchmarks/bench_kernels.py [--degree 5] [--repeat 3]
 """
@@ -77,6 +80,12 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--json-only", action="store_true")
     args = parser.parse_args()
+
+    from species_forge import kernels
+
+    if not args.json_only and kernels.BACKEND == "python":
+        sys.exit("the compiled kernel is not in use: species_forge._ckernels is not "
+                 "importable (build it with Cython) or SPECIES_FORGE_BACKEND=py is set")
 
     mine = run(args)
     if args.json_only:

@@ -3,7 +3,10 @@
 cancellation-free closed forms, plus the convolution-identity verifier.
 
 The alternating sum is the reference oracle: it is defined uniformly from
-the structure maps alone, so the closed forms are tested against it.
+the structure maps alone, so the closed forms are tested against it.  It is
+the characteristic operation of the Tits element h_power(-1, n), and the
+recursions are the convolution identities solved one degree at a time, so
+neither carries a loop of its own.
 """
 
 from fractions import Fraction
@@ -14,24 +17,13 @@ from .exactlin import LinComb, LinMap
 from .kernels import dist_opp, popcount
 from .setcomb import (
     comp_opp,
-    compositions_of,
     full_mask,
     partition_refinements,
     partition_rel_factorial,
     refinements,
-    submasks,
 )
-from .species import (
-    NotHopfError,
-    component_map,
-    convolve,
-    delta_shape,
-    delta_shape_key,
-    identity_family,
-    mu_shape,
-    mu_shape_key,
-    unit_family,
-)
+from .species import NotHopfError, convolve, identity_family, unit_family
+from .titsops import characteristic_op, h_power, psi_map
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,74 +37,32 @@ def _require_hopf(model):
 
 
 def takeuchi_column(model, n, key):
-    """The alternating sum over all compositions applied to one basis key."""
-    acc = {}
-    comps = compositions_of(full_mask(n))
-    if model.monomial:
-        for F in comps:
-            img = delta_shape_key(model, F, key)
-            if img is None:
-                continue
-            c, keys = img
-            c, k2 = mu_shape_key(model, F, keys, c)
-            if len(F) % 2:
-                c = -c
-            w = acc.get(k2, ZERO) + c
-            if w:
-                acc[k2] = w
-            else:
-                del acc[k2]
-    else:
-        x = LinComb.term(key)
-        for F in comps:
-            img = mu_shape(model, F, delta_shape(model, F, x))
-            sign = -1 if len(F) % 2 else 1
-            for k2, c in img.terms.items():
-                w = acc.get(k2, ZERO) + sign * c
-                if w:
-                    acc[k2] = w
-                else:
-                    del acc[k2]
-    return LinComb.wrap(acc)
+    """The alternating sum over all compositions applied to one basis key:
+    the characteristic operation of h_power(-1, n)."""
+    return characteristic_op(model, h_power(-1, n), LinComb.term(key))
 
 
 def _takeuchi_map(model, n):
-    basis = model.basis(n)
-    if n == 0:
-        return LinMap.identity(basis)
-    return LinMap(basis, basis, {k: takeuchi_column(model, n, k) for k in basis})
+    return psi_map(model, h_power(-1, n), n)
 
 
 def _mm_map(model, n, lower, side):
-    """One Milnor-Moore step at degree n given the maps of lower degrees."""
+    """One Milnor-Moore step at degree n given the maps of lower degrees.
+
+    id * S = u.e vanishes in positive degree, and its term that puts the
+    whole set under the antipode is S_n itself.  So S_n = -(id * S') for the
+    right recursion and -(S' * id) for the left one, where S' extends the
+    lower maps by the zero map at degree n.
+    """
     basis = model.basis(n)
     if n == 0:
         return LinMap.identity(basis)
-    full = full_mask(n)
-    cols = {k: LinComb() for k in basis}
-    for S in submasks(full):
-        T = full ^ S
-        if side == "right":
-            if T == full:
-                continue
-            ant = component_map(model, lower[popcount(T)], T)
-        else:
-            if S == full:
-                continue
-            ant = component_map(model, lower[popcount(S)], S)
-        for k in basis:
-            acc = LinComb()
-            for (a, b), c in model.coproduct(S, T, k).terms.items():
-                if side == "right":
-                    img = ant(b)
-                    for kb, cb in img.terms.items():
-                        acc = acc + model.product(S, T, a, kb).scale(c * cb)
-                else:
-                    img = ant(a)
-                    for ka, ca in img.terms.items():
-                        acc = acc + model.product(S, T, ka, b).scale(c * ca)
-            cols[k] = cols[k] - acc
-    return LinMap(basis, basis, cols)
+    ext = dict(lower)
+    ext[n] = LinMap.zero(basis, basis)
+    idf = identity_family(model, n)
+    if side == "right":
+        return convolve(model, idf, ext, n).scale(-1)
+    return convolve(model, ext, idf, n).scale(-1)
 
 
 def antipode_family(model, nmax, method="takeuchi"):

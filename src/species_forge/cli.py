@@ -111,17 +111,26 @@ def _build(args):
             name = f"Sigmaq:{args.q}"
         else:
             raise UsageError(f"--q applies to L and Sigma, not {name}")
+    return name, _build_named(name)
+
+
+def _build_named(name):
     try:
-        return name, build_model(name)
+        return build_model(name)
     except (UnknownModelError, ValueError) as exc:
         raise UsageError(str(exc)) from None
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in the model {name!r}") from None
 
 
 def _check_budget(name, n):
     cap = degree_budget(name)
     override = os.environ.get("SPECIES_FORGE_MAX_N")
     if override:
-        cap = max(cap, int(override))
+        try:
+            cap = max(cap, int(override))
+        except ValueError:
+            raise UsageError(f"SPECIES_FORGE_MAX_N must be an integer, not {override!r}") from None
     if n > cap:
         raise UsageError(f"degree {n} exceeds the budget {cap} for {name}")
 
@@ -196,7 +205,8 @@ def cmd_antipode(args):
         methods = ["takeuchi", "mm-left", "mm-right"]
         if has_closed_form(model) or (args.basis == "Q"):
             methods.append("closed")
-        tables = {m: antipode(model, n, m, args.basis) for m in methods}
+        tables = {m: table if m == args.method else antipode(model, n, m, args.basis)
+                  for m in methods}
         agree = all(tables[m] == table for m in methods)
         checked = model if args.basis == "H" else q_view(model)
         conv_ok = not verify_antipode(checked, n, candidate=table)
@@ -230,6 +240,10 @@ def cmd_idempotents(args):
     if n < 1:
         raise UsageError("idempotent tables need n >= 1")
     _check_budget("Sigma", n)
+    model = None
+    if args.check_decomposition:
+        model = _build_named(args.check_decomposition)
+        _check_budget(args.check_decomposition, n)
     parts = partitions_of(full_mask(n))
     payload = {"schema": SCHEMA, "command": "idempotents", "n": n, "tables": {}}
     enc = encode_comp
@@ -253,8 +267,7 @@ def cmd_idempotents(args):
         checks["orthogonality"] = ortho
         checks["completeness"] = complete
         failed = failed or not (ortho and complete)
-    if args.check_decomposition:
-        model = build_model(args.check_decomposition)
+    if model is not None:
         rep = eulerian_decomposition(model, n)
         checks["decomposition"] = rep["ok"]
         checks["decomposition_ranks"] = [
@@ -441,6 +454,9 @@ def main(argv=None):
             raise UsageError("n is required")
         if getattr(args, "op", None) is None and args.command == "series":
             raise UsageError("a series op is required")
+        for degree in ("nmax", "n"):
+            if (getattr(args, degree, None) or 0) < 0:
+                raise UsageError(f"{degree} must be >= 0")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -635,27 +635,33 @@ def _shape_slices(shapes):
     return out
 
 
-def check_higher_compatibility(model, n):
-    """For every pair of compositions F, G: coproduct along G after product
-    along F equals product along the G-side splitting of GF, after the
-    braiding, after coproduct along the F-side splitting of FG."""
-    full = full_mask(n)
-    comps = compositions_of(full)
+def _comp_split(F, G):
+    _, _, perm = tits_perm(F, G)
+    return ([comp_restrict(G, b) for b in F], [comp_restrict(F, b) for b in G], perm)
+
+
+def _dec_split(F, G):
+    p, q = len(F), len(G)
+    perm = tuple(j * p + i for i in range(p) for j in range(q))
+    return ([tuple(b & c for c in G) for b in F], [tuple(b & c for b in F) for c in G], perm)
+
+
+def _higher_compatibility_sweep(model, shapes, split):
+    """For every pair F, G of `shapes`: coproduct along G after product along
+    F equals product along the G-side splitting of GF, after the braiding,
+    after coproduct along the F-side splitting of FG.  `split(F, G)` returns
+    those splittings and the block permutation taking FG to GF."""
     bad = []
     q = model.q
     fast = model.monomial
-    for F in comps:
+    for F in shapes:
         tb = tensor_basis(model, F)
         lhs_in = [mu_shape_key(model, F, x) if fast else mu_shape(model, F, LinComb.term(x))
                   for x in tb]
-        for G in comps:
-            delta_shapes = [comp_restrict(G, b) for b in F]
-            mu_shapes = [comp_restrict(F, b) for b in G]
-            FG = ()
-            for s in delta_shapes:
-                FG += s
-            _, GF, perm = tits_perm(F, G)
-            braid = q ** dist(FG, GF) if q != 1 else ONE
+        for G in shapes:
+            delta_shapes, mu_shapes, perm = split(F, G)
+            FG = sum(delta_shapes, ())
+            braid = q ** dist(FG, sum(mu_shapes, ())) if q != 1 else ONE
             slices = _shape_slices(mu_shapes)
             for x, lhs_val in zip(tb, lhs_in):
                 if fast:
@@ -669,6 +675,11 @@ def check_higher_compatibility(model, n):
                 if lhs != rhs:
                     bad.append((F, G, x))
     return bad
+
+
+def check_higher_compatibility(model, n):
+    """The higher-compatibility axiom over all pairs of compositions."""
+    return _higher_compatibility_sweep(model, compositions_of(full_mask(n)), _comp_split)
 
 
 def _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
@@ -732,41 +743,8 @@ def check_higher_compatibility_dec(model, n, max_blocks):
     """Decomposition-indexed variant for non-connected models: F and G range
     over decompositions with at most `max_blocks` blocks, with the canonical
     row/column splittings of FG and GF."""
-    full = full_mask(n)
-    decs = decompositions_of(full, max_blocks)
-    bad = []
-    q = model.q
-    fast = model.monomial
-    for F in decs:
-        p = len(F)
-        tb = tensor_basis(model, F)
-        lhs_in = [mu_shape_key(model, F, x) if fast else mu_shape(model, F, LinComb.term(x))
-                  for x in tb]
-        for G in decs:
-            qlen = len(G)
-            delta_shapes = [tuple(b & c for c in G) for b in F]
-            mu_shapes = [tuple(b & c for b in F) for c in G]
-            FG = ()
-            for s in delta_shapes:
-                FG += s
-            GF = ()
-            for s in mu_shapes:
-                GF += s
-            perm = tuple(j * p + i for i in range(p) for j in range(qlen))
-            braid = q ** dist(FG, GF) if q != 1 else ONE
-            slices = _shape_slices(mu_shapes)
-            for x, lhs_val in zip(tb, lhs_in):
-                if fast:
-                    c0, ykey = lhs_val
-                    lhs_img = delta_shape_key(model, G, ykey, c0)
-                    lhs = {lhs_img[1]: lhs_img[0]} if lhs_img else {}
-                    rhs = _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
-                else:
-                    lhs = delta_shape(model, G, lhs_val).terms
-                    rhs = _rhs_generic(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
-                if lhs != rhs:
-                    bad.append((F, G, x))
-    return bad
+    return _higher_compatibility_sweep(model, decompositions_of(full_mask(n), max_blocks),
+                                       _dec_split)
 
 
 def check_axiom(model, axiom, n, dec_blocks=None):
@@ -847,21 +825,25 @@ def convolve(model, f_by_degree, g_by_degree, n):
     """
     full = full_mask(n)
     basis = model.basis(n)
-    cols = {k: LinComb() for k in basis}
+    cols = {k: {} for k in basis}
     for S in submasks(full):
         T = full ^ S
         fS = component_map(model, f_by_degree[popcount(S)], S)
         gT = component_map(model, g_by_degree[popcount(T)], T)
         for k in basis:
-            acc = LinComb()
+            out = cols[k]
             for (a, b), c in model.coproduct(S, T, k).terms.items():
-                fa = fS(a)
-                gb = gT(b)
-                for ka, ca in fa.terms.items():
-                    for kb, cb in gb.terms.items():
-                        acc = acc + model.product(S, T, ka, kb).scale(c * ca * cb)
-            cols[k] = cols[k] + acc
-    return LinMap(basis, basis, cols)
+                gb = gT(b).terms
+                for ka, ca in fS(a).terms.items():
+                    for kb, cb in gb.items():
+                        cab = c * ca * cb
+                        for k2, v in model.product(S, T, ka, kb).terms.items():
+                            w = out.get(k2, ZERO) + cab * v
+                            if w:
+                                out[k2] = w
+                            else:
+                                del out[k2]
+    return LinMap(basis, basis, {k: LinComb.wrap(out) for k, out in cols.items()})
 
 
 def identity_family(model, nmax):

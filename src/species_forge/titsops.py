@@ -99,32 +99,38 @@ def tits_multiply(z, w):
 
 
 def characteristic_op(model, z, h):
-    """z acting on h in model[n] as the sum of products-of-coproducts."""
+    """z acting on h in model[n] as the sum of products-of-coproducts.
+
+    Keys of h run outside the Tits terms, and each Tits coefficient (times
+    the key's coefficient when that is not 1) enters as the starting
+    coefficient of the coproduct along its composition.
+    """
     if model.connected and z.dec:
         z = TitsElement(z.n, z.coeffs.map_keys(positive_part))
+    terms = z.coeffs.terms.items()
     out = {}
-    monomial = model.monomial
-    for F, a in z.coeffs.terms.items():
-        if monomial:
-            for key, c in h.terms.items():
-                img = delta_shape_key(model, F, key)
+    for key, c in h.terms.items():
+        scaled = terms if c == 1 else [(F, a * c) for F, a in terms]
+        if model.monomial:
+            for F, a in scaled:
+                img = delta_shape_key(model, F, key, a)
                 if img is None:
                     continue
-                c2, keys = img
-                c3, k2 = mu_shape_key(model, F, keys, c2 * c * a)
-                w = out.get(k2, ZERO) + c3
+                c2, k2 = mu_shape_key(model, F, img[1], img[0])
+                w = out.get(k2, ZERO) + c2
                 if w:
                     out[k2] = w
                 else:
                     del out[k2]
         else:
-            img = mu_shape(model, F, delta_shape(model, F, h))
-            for k2, c2 in img.terms.items():
-                w = out.get(k2, ZERO) + a * c2
-                if w:
-                    out[k2] = w
-                else:
-                    del out[k2]
+            x = LinComb.term(key)
+            for F, a in scaled:
+                for k2, c2 in mu_shape(model, F, delta_shape(model, F, x)).terms.items():
+                    w = out.get(k2, ZERO) + a * c2
+                    if w:
+                        out[k2] = w
+                    else:
+                        del out[k2]
     return LinComb.wrap(out)
 
 

@@ -1,8 +1,9 @@
 """Acceptance gate: each test implements one numbered criterion at its
 stated degrees with exact equality, and prints one PASS line when it holds.
 
-Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines;
-the whole gate targets a few minutes of wall time with the compiled kernel.
+Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+On the pure-Python backend the whole tier-1 suite (202 tests) took about
+10 minutes on a 2-core machine, most of it in criterion 1.
 """
 
 from fractions import Fraction
@@ -183,8 +184,9 @@ def test_criterion_5_characteristic_operations():
             fam = operator_conv_power(model, p, top)
             for n in range(top + 1):
                 assert psi_map(model, h_power(p, n), n) == fam[n], (model.name, p, n)
-        # the minus-one power acts as the antipode
-        sfam = antipode_family(model, top)
+        # the minus-one power acts as the antipode; the Takeuchi family is
+        # psi_map(h_power(-1)) itself, so compare with the Milnor-Moore one
+        sfam = antipode_family(model, top, "mm-right")
         for n in range(top + 1):
             assert psi_map(model, h_power(-1, n), n) == sfam[n]
         # the first Eulerian acts as the logarithm of the identity

@@ -102,6 +102,32 @@ def test_cli_unknown_model():
     assert main(["verify", "Bogus", "2"]) == 2
 
 
+def _assert_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_zero_denominator_q_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["verify", "Sigmaq:1/0", "2"])
+
+
+def test_cli_negative_degree_is_usage_error(capsys):
+    _assert_usage_error(capsys, ["verify", "Pi", "-1"])
+    _assert_usage_error(capsys, ["antipode", "L", "-2"])
+
+
+def test_cli_bad_degree_override_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPECIES_FORGE_MAX_N", "x")
+    _assert_usage_error(capsys, ["verify", "E", "2"])
+
+
+def test_cli_decomposition_model_is_validated(capsys):
+    _assert_usage_error(capsys, ["idempotents", "3", "--check-decomposition", "Bogus"])
+    _assert_usage_error(capsys, ["idempotents", "5", "--check-decomposition", "G"])
+
+
 def test_cli_antipode_table(capsys):
     assert main(["antipode", "Pi", "2", "H", "takeuchi", "--format", "table"]) == 0
     out = capsys.readouterr().out
