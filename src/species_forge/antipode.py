@@ -203,8 +203,10 @@ def verify_antipode(model, n, candidate=None, reference_method="takeuchi"):
     from the reference method); failures are returned as data.
     """
     _require_hopf(model)
-    fam = antipode_family(model, n, reference_method)
-    if candidate is not None:
+    if candidate is None:
+        fam = antipode_family(model, n, reference_method)
+    else:
+        fam = antipode_family(model, n - 1, reference_method)
         fam[n] = candidate
     idf = identity_family(model, n)
     uf = unit_family(model, n)

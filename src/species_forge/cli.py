@@ -224,6 +224,9 @@ def cmd_antipode(args):
 
 def cmd_gf(args):
     name, model = _build(args)
+    if not model.connected:
+        print(f"error: {name} is not a Hopf monoid", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     report = sequence_transform_report(model, args.nmax)
     payload = {"schema": SCHEMA, "command": "gf"}
     for k, v in report.items():

@@ -98,7 +98,6 @@ class LinearOrderModel(SpeciesModel):
     """Linear orders as compositions into singletons; concatenation product,
     restriction coproduct weighted by q to the crossing number."""
 
-    set_theoretic_base = True
     monomial = True
     family = "L"
 
@@ -188,7 +187,6 @@ class CompositionModel(SpeciesModel):
     """Set compositions; concatenation product, restriction coproduct with
     the same q-twist as linear orders."""
 
-    cocommutative_base = True
     monomial = True
     family = "Sigma"
 

@@ -22,7 +22,6 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from . import kernels
 from .kernels import (
     area,
     comp_permute,
@@ -58,7 +57,7 @@ __all__ = [
     "encode_dec", "decode_dec",
 ]
 
-MAX_DEGREE = kernels.MAXN
+MAX_DEGREE = 60
 
 
 def full_mask(n):

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .exactlin import LinComb, LinMap, lc_sum
-from .kernels import comp_restrict, dist, popcount, tits_perm
+from .kernels import comp_restrict, dist, mask_permute, popcount, tits_perm
 from .setcomb import (
     compositions_of,
     decompositions_of,
@@ -440,8 +440,8 @@ def check_naturality(model, n, nperms=100, seed=7):
     pairs = _pairs(full)
     for perm in perms:
         for S, T in pairs:
-            sS = _apply_mask(S, perm)
-            sT = _apply_mask(T, perm)
+            sS = mask_permute(S, perm)
+            sT = mask_permute(T, perm)
             bS = model.basis_on(S)
             bT = model.basis_on(T)
             for x in bS:
@@ -459,13 +459,6 @@ def check_naturality(model, n, nperms=100, seed=7):
                 if lhs != rhs:
                     bad.append(("coproduct", perm, S, T, z))
     return bad
-
-
-def _apply_mask(mask, perm):
-    out = 0
-    for i in mask_labels(mask):
-        out |= 1 << perm[i]
-    return out
 
 
 def check_associativity(model, n):

@@ -443,11 +443,6 @@ def product_along(model, shape, factors):
     return acc
 
 
-def _increasing_map(mask):
-    labels = mask_labels(mask)
-    return labels
-
-
 def primitive_basis_on(model, mask, cache=None):
     """Primitive basis of the component on `mask`, transported from the
     standard component by the increasing relabeling."""
@@ -460,8 +455,7 @@ def primitive_basis_on(model, mask, cache=None):
             cache[m] = std
     if mask == full_mask(m):
         return std
-    perm = _increasing_map(mask)
-    return [model.relabel_lc(perm, v) for v in std]
+    return [model.relabel_lc(mask_labels(mask), v) for v in std]
 
 
 def pbw_domain(model, n, cache=None):

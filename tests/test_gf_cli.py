@@ -164,6 +164,11 @@ def test_cli_gf(capsys):
     assert payload["boolean_transform"][:5] == ["1", "1", "3", "13", "71"]
 
 
+def test_cli_gf_not_hopf(capsys):
+    assert main(["gf", "SigmaHat:3", "2"]) == 3
+    assert "is not a Hopf monoid" in capsys.readouterr().err
+
+
 def test_cli_idempotents(capsys):
     assert main(["idempotents", "3", "--check-orthogonality"]) == 0
     payload = json.loads(capsys.readouterr().out)

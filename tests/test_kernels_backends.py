@@ -1,5 +1,5 @@
-"""Differential tests: the compiled kernel must agree with the pure-Python
-one, and both must agree with direct definition-level counting oracles."""
+"""Oracle tests for the bitmask kernel: every function must agree with a
+definition written on label sets, or with direct definition-level counting."""
 
 import random
 
@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from species_forge import _kernels_py as py
-
-try:
-    from species_forge import _ckernels as ck
-except ImportError:
-    ck = None
-
-BACKENDS = [py] if ck is None else [py, ck]
+from species_forge import kernels
 
 
 def random_comp(rng, n, allow_empty=False):
@@ -63,8 +56,30 @@ def brute_dist(f, g):
     return total
 
 
+def labels(mask):
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def as_sets(comp):
+    return tuple(labels(b) for b in comp)
+
+
+def set_tits(f, g, keep_empty=False):
+    # blocks B & C for B in f, then C in g, in that order
+    return tuple(b & c for b in f for c in g if keep_empty or b & c)
+
+
+def set_restrict(f, s, keep_empty=False):
+    return tuple(b & s for b in f if keep_empty or b & s)
+
+
+def set_permute(b, perm):
+    return frozenset(perm[i] for i in b)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_backends_agree_on_random_inputs(seed):
+    """The bitmask kernel agrees with the label-set definitions."""
     rng = random.Random(seed)
     for _ in range(300):
         n = rng.randint(0, 7)
@@ -76,20 +91,26 @@ def test_backends_agree_on_random_inputs(seed):
         perm = list(range(n))
         rng.shuffle(perm)
         perm = tuple(perm)
-        results = []
-        for k in BACKENDS:
-            results.append((
-                k.comp_tits(f, g), k.dec_tits(f, g),
-                k.comp_restrict(f, s), k.dec_restrict(f, s),
-                k.comp_refines(f, g), k.area(f, s, t), k.dist(f, g),
-                k.dist_opp(f), k.comp_permute(f, perm),
-                k.mask_permute(s, perm), k.tits_perm(f, g),
-            ))
-        assert all(r == results[0] for r in results)
+        F, G, S = as_sets(f), as_sets(g), labels(s)
+        assert as_sets(kernels.comp_tits(f, g)) == set_tits(F, G)
+        assert as_sets(kernels.dec_tits(f, g)) == set_tits(F, G, keep_empty=True)
+        assert as_sets(kernels.comp_restrict(f, s)) == set_restrict(F, S)
+        assert as_sets(kernels.dec_restrict(f, s)) == set_restrict(F, S, keep_empty=True)
+        assert kernels.comp_refines(f, g) == (set_tits(F, G) == G)
+        assert kernels.comp_refines(f, kernels.comp_tits(f, g))
+        assert as_sets(kernels.comp_permute(f, perm)) == tuple(set_permute(b, perm) for b in F)
+        assert labels(kernels.mask_permute(s, perm)) == set_permute(S, perm)
+        fg, gf, tp = kernels.tits_perm(f, g)
+        assert as_sets(fg) == set_tits(F, G)
+        assert as_sets(gf) == set_tits(G, F)
+        assert sorted(tp) == list(range(len(fg)))
+        assert all(fg[a] == gf[tp[a]] for a in range(len(fg)))
+        assert kernels.area(f, s, t) == brute_area(f, s, t)
+        assert kernels.dist(f, g) == brute_dist(f, g)
+        assert kernels.dist_opp(f) == brute_dist(f, tuple(reversed(f)))
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.BACKEND)
-def test_area_and_dist_match_brute_force(kernel):
+def test_area_and_dist_match_brute_force():
     rng = random.Random(99)
     for _ in range(200):
         n = rng.randint(0, 6)
@@ -97,18 +118,17 @@ def test_area_and_dist_match_brute_force(kernel):
         f = random_comp(rng, n)
         g = random_comp(rng, n)
         s = rng.randint(0, full)
-        assert kernel.area(f, s, full ^ s) == brute_area(f, s, full ^ s)
-        assert kernel.dist(f, g) == brute_dist(f, g)
-        assert kernel.dist_opp(f) == brute_dist(f, tuple(reversed(f)))
+        assert kernels.area(f, s, full ^ s) == brute_area(f, s, full ^ s)
+        assert kernels.dist(f, g) == brute_dist(f, g)
+        assert kernels.dist_opp(f) == brute_dist(f, tuple(reversed(f)))
 
 
-@pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.BACKEND)
-def test_tits_product_definition(kernel):
+def test_tits_product_definition():
     f = (0b011, 0b100)
     g = (0b101, 0b010)
-    assert kernel.comp_tits(f, g) == (0b001, 0b010, 0b100)
-    assert kernel.dec_tits(f, g) == (0b001, 0b010, 0b100, 0b000)
-    fg, gf, perm = kernel.tits_perm(f, g)
+    assert kernels.comp_tits(f, g) == (0b001, 0b010, 0b100)
+    assert kernels.dec_tits(f, g) == (0b001, 0b010, 0b100, 0b000)
+    fg, gf, perm = kernels.tits_perm(f, g)
     assert fg == (0b001, 0b010, 0b100)
     assert gf == (0b001, 0b100, 0b010)
     assert tuple(fg[i] for i in range(len(fg))) == tuple(gf[perm[i]] for i in range(len(fg)))
@@ -119,10 +139,9 @@ def test_tits_product_definition(kernel):
 @settings(max_examples=200, deadline=None)
 def test_mask_permute_is_action(mask, perm):
     perm = tuple(perm)
-    for k in BACKENDS:
-        out = k.mask_permute(mask, perm)
-        assert out.bit_count() == mask.bit_count()
-        assert k.mask_permute(out, _inverse(perm)) == mask
+    out = kernels.mask_permute(mask, perm)
+    assert out.bit_count() == mask.bit_count()
+    assert kernels.mask_permute(out, _inverse(perm)) == mask
 
 
 def _inverse(perm):
