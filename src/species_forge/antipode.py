@@ -177,14 +177,14 @@ _CLOSED_FORMS = {
 def closed_form(model, key, n):
     """Registered cancellation-free antipode expansion of one basis key."""
     _require_hopf(model)
-    fn = _CLOSED_FORMS.get(getattr(model, "family", None))
+    fn = _CLOSED_FORMS.get(model.family)
     if fn is None:
         raise NotHopfError(f"no closed antipode form registered for {model.name}")
     return fn(model, key, n)
 
 
 def has_closed_form(model):
-    return getattr(model, "family", None) in _CLOSED_FORMS
+    return model.family in _CLOSED_FORMS
 
 
 def closed_term_count(model, key, n):

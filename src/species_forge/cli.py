@@ -33,7 +33,15 @@ from .series import (
     power_series,
     uni_series,
 )
-from .setcomb import encode_comp, encode_dec, encode_partition, full_mask, submasks
+from .setcomb import (
+    MAX_DEGREE,
+    encode_comp,
+    encode_dec,
+    encode_partition,
+    full_mask,
+    partitions_of,
+    submasks,
+)
 from .species import NotHopfError, run_axiom_suite
 from .titsops import (
     TitsElement,
@@ -46,7 +54,6 @@ from .titsops import (
     tits_multiply,
     tits_unit,
 )
-from .setcomb import partitions_of
 
 SCHEMA = "species-forge/1"
 
@@ -55,6 +62,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
+GF_MAX_KEYS = 10 ** 6  # basis keys gf may enumerate to count types
+
 
 class UsageError(Exception):
     pass
@@ -62,7 +71,7 @@ class UsageError(Exception):
 
 def key_encoder(model, n):
     """Text encoding of basis keys, chosen by model family."""
-    family = getattr(model, "family", None)
+    family = model.family
     if family in ("Sigma", "QSigma", "L"):
         return encode_comp
     if family in ("Pi", "QPi"):
@@ -123,14 +132,19 @@ def _build_named(name):
         raise UsageError(f"zero denominator in the model {name!r}") from None
 
 
-def _check_budget(name, n):
-    cap = degree_budget(name)
+def _max_n_override():
+    """The degree set by SPECIES_FORGE_MAX_N, or -1 when it is unset."""
     override = os.environ.get("SPECIES_FORGE_MAX_N")
-    if override:
-        try:
-            cap = max(cap, int(override))
-        except ValueError:
-            raise UsageError(f"SPECIES_FORGE_MAX_N must be an integer, not {override!r}") from None
+    if not override:
+        return -1
+    try:
+        return int(override)
+    except ValueError:
+        raise UsageError(f"SPECIES_FORGE_MAX_N must be an integer, not {override!r}") from None
+
+
+def _check_budget(name, n):
+    cap = max(degree_budget(name), _max_n_override())
     if n > cap:
         raise UsageError(f"degree {n} exceeds the budget {cap} for {name}")
 
@@ -224,10 +238,18 @@ def cmd_antipode(args):
 
 def cmd_gf(args):
     name, model = _build(args)
+    nmax = args.nmax
+    if nmax > MAX_DEGREE:
+        raise UsageError(f"degree {nmax} exceeds the maximum degree {MAX_DEGREE}")
     if not model.connected:
         print(f"error: {name} is not a Hopf monoid", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    report = sequence_transform_report(model, args.nmax)
+    # orbit counting enumerates every degree-nmax key of a set-theoretic model
+    if model.set_theoretic and nmax > _max_n_override() and model.dim(nmax) > GF_MAX_KEYS:
+        raise UsageError(f"type counts of {name} at degree {nmax} would enumerate "
+                         f"{model.dim(nmax)} keys, over {GF_MAX_KEYS}; "
+                         f"set SPECIES_FORGE_MAX_N={nmax} to run them")
+    report = sequence_transform_report(model, nmax)
     payload = {"schema": SCHEMA, "command": "gf"}
     for k, v in report.items():
         payload[k] = [str(x) for x in v] if isinstance(v, list) else v
@@ -461,7 +483,7 @@ def main(argv=None):
             if (getattr(args, degree, None) or 0) < 0:
                 raise UsageError(f"{degree} must be >= 0")
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, UnknownModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotHopfError as exc:

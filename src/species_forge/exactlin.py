@@ -184,10 +184,6 @@ class LinMap:
                 raise ValueError("column image not supported on the codomain basis")
 
     @classmethod
-    def from_function(cls, domain, codomain, fn):
-        return cls(domain, codomain, {k: fn(k) for k in domain})
-
-    @classmethod
     def identity(cls, basis):
         return cls(basis, basis, {k: LinComb.term(k) for k in basis})
 

@@ -6,7 +6,6 @@ vertex subset.
 """
 
 from .setcomb import (
-    MAX_DEGREE,
     mask_labels,
     partition_sort,
     partitions_of,
@@ -207,67 +206,8 @@ def decode_graph(s):
         for part in body.split(","):
             if not (part.startswith("e") and len(part) == 3):
                 raise ValueError(f"bad edge token {part!r}")
-            g |= 1 << edge_index(int(part[1], 16), int(part[2], 16))
+            i, j = int(part[1], 16), int(part[2], 16)
+            if i == j or max(i, j) >= n:
+                raise ValueError(f"edge {part!r} is not an edge on {n} vertices")
+            g |= 1 << edge_index(i, j)
     return g, n
-
-
-class SimpleGraph:
-    """Loopless simple graph on [n]; immutable."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n, edges):
-        if not 0 <= n <= min(MAX_DEGREE, _MAX_VERTS):
-            raise ValueError(f"graph degree out of range: {n}")
-        if isinstance(edges, int):
-            mask = edges
-        else:
-            mask = edges_from_pairs(edges)
-        if mask & ~all_edges_mask((1 << n) - 1):
-            raise ValueError("edge outside the vertex set")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", mask)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SimpleGraph is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SimpleGraph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"SimpleGraph({encode_graph(self.edges, self.n)!r})"
-
-    @classmethod
-    def decode(cls, s):
-        g, n = decode_graph(s)
-        return cls(n, g)
-
-    def encode(self):
-        return encode_graph(self.edges, self.n)
-
-    def edge_pairs(self):
-        return edge_list(self.edges)
-
-    def restrict(self, vmask):
-        return SimpleGraph(self.n, graph_restrict(self.edges, vmask))
-
-    def union(self, other):
-        if self.n != other.n:
-            raise ValueError("degrees differ")
-        return SimpleGraph(self.n, self.edges | other.edges)
-
-    def components(self):
-        return components(self.edges, (1 << self.n) - 1)
-
-    def acyclic_orientations(self):
-        return acyclic_orientations(self.edges, (1 << self.n) - 1)
-
-    def contraction_lattice(self):
-        return contraction_lattice(self.edges, (1 << self.n) - 1)
-
-
-def max_edge_degree():
-    return _MAX_VERTS

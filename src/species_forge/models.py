@@ -28,6 +28,7 @@ from .setcomb import (
     decompositions_of,
     full_mask,
     mask_labels,
+    mobius_partition,
     partition_coarsenings,
     partition_join,
     partition_refinements,
@@ -94,43 +95,6 @@ class ExponentialModel(SpeciesModel):
         return 1
 
 
-class LinearOrderModel(SpeciesModel):
-    """Linear orders as compositions into singletons; concatenation product,
-    restriction coproduct weighted by q to the crossing number."""
-
-    monomial = True
-    family = "L"
-
-    def __init__(self, q=ONE):
-        self.q = Fraction(q)
-        self.name = "L" if self.q == 1 else f"Lq:{self.q}"
-        self.commutative = False
-        self.cocommutative = self.q == 1
-        self.set_theoretic = self.q == 1
-
-    def basis_on(self, mask):
-        labels = mask_labels(mask)
-        return tuple(
-            tuple(1 << i for i in p) for p in itertools.permutations(labels)
-        )
-
-    def relabel(self, perm, key):
-        return comp_permute(key, perm)
-
-    def product_key(self, S, T, x, y):
-        return ONE, x + y
-
-    def coproduct_key(self, S, T, key):
-        if self.q == 1:
-            c = ONE
-        else:
-            c = self.q ** area(key, S, T)
-        return c, (comp_restrict(key, S), comp_restrict(key, T))
-
-    def dim(self, n):
-        return factorial(n)
-
-
 class PartitionModel(SpeciesModel):
     """Set partitions; union product, restriction coproduct."""
 
@@ -184,15 +148,15 @@ class GraphModel(SpeciesModel):
 
 
 class CompositionModel(SpeciesModel):
-    """Set compositions; concatenation product, restriction coproduct with
-    the same q-twist as linear orders."""
+    """Set compositions; concatenation product, restriction coproduct
+    weighted by q to the crossing number (the area statistic)."""
 
     monomial = True
     family = "Sigma"
 
     def __init__(self, q=ONE):
         self.q = Fraction(q)
-        self.name = "Sigma" if self.q == 1 else f"Sigmaq:{self.q}"
+        self.name = self.family if self.q == 1 else f"{self.family}q:{self.q}"
         self.commutative = False
         self.cocommutative = self.q == 1
         self.set_theoretic = self.q == 1
@@ -215,6 +179,22 @@ class CompositionModel(SpeciesModel):
 
     def dim(self, n):
         return ordered_bell(n)
+
+
+class LinearOrderModel(CompositionModel):
+    """Linear orders as the compositions into singletons, with the same
+    product, coproduct and q-twist."""
+
+    family = "L"
+
+    def basis_on(self, mask):
+        labels = mask_labels(mask)
+        return tuple(
+            tuple(1 << i for i in p) for p in itertools.permutations(labels)
+        )
+
+    def dim(self, n):
+        return factorial(n)
 
 
 class DecompositionModel(SpeciesModel):
@@ -274,84 +254,48 @@ def _admissible_graph(key, S, T):
     return key & graphs.edges_between(S, T) == 0
 
 
-class QCompositionView(SpeciesModel):
+class QCompositionView(CompositionModel):
     """Sigma in its Q basis: free product, coproduct supported on admissible
     splits; exhibits the free presentation on the positive exponential."""
 
-    monomial = True
     family = "QSigma"
 
     def __init__(self):
+        super().__init__()
         self.name = "Q:Sigma"
-        self.commutative = False
-        self.cocommutative = True
-
-    def basis_on(self, mask):
-        return compositions_of(mask)
-
-    def relabel(self, perm, key):
-        return comp_permute(key, perm)
-
-    def product_key(self, S, T, x, y):
-        return ONE, x + y
+        self.set_theoretic = False
 
     def coproduct_key(self, S, T, key):
         if not _admissible_comp(key, S):
             return None
-        return ONE, (comp_restrict(key, S), comp_restrict(key, T))
+        return super().coproduct_key(S, T, key)
 
 
-class QPartitionView(SpeciesModel):
+class QPartitionView(PartitionModel):
     """Pi in its Q basis: free commutative presentation on the positive
     exponential."""
 
-    monomial = True
+    name = "Q:Pi"
     family = "QPi"
-    commutative = True
-    cocommutative = True
-
-    def __init__(self):
-        self.name = "Q:Pi"
-
-    def basis_on(self, mask):
-        return partitions_of(mask)
-
-    def relabel(self, perm, key):
-        return partition_sort(comp_permute(key, perm))
-
-    def product_key(self, S, T, x, y):
-        return ONE, partition_sort(x + y)
+    set_theoretic = False
 
     def coproduct_key(self, S, T, key):
         if not _admissible_comp(key, S):
             return None
-        return ONE, (partition_restrict(key, S), partition_restrict(key, T))
+        return super().coproduct_key(S, T, key)
 
 
-class QGraphView(SpeciesModel):
+class QGraphView(GraphModel):
     """G in its Q basis: free commutative presentation on connected graphs."""
 
-    monomial = True
+    name = "Q:G"
     family = "QG"
-    commutative = True
-    cocommutative = True
-
-    def __init__(self):
-        self.name = "Q:G"
-
-    def basis_on(self, mask):
-        return graphs.graphs_on(mask)
-
-    def relabel(self, perm, key):
-        return graphs.graph_permute(key, perm)
-
-    def product_key(self, S, T, x, y):
-        return ONE, x | y
+    set_theoretic = False
 
     def coproduct_key(self, S, T, key):
         if not _admissible_graph(key, S, T):
             return None
-        return ONE, (graphs.graph_restrict(key, S), graphs.graph_restrict(key, T))
+        return super().coproduct_key(S, T, key)
 
 
 _Q_VIEWS = {"Sigma": QCompositionView, "Pi": QPartitionView, "G": QGraphView}
@@ -407,14 +351,7 @@ def _pi_H_to_Q(key):
 
 
 def _pi_Q_to_H(key):
-    out = []
-    for y in partition_refinements(key):
-        sign = -1 if (len(y) - len(key)) % 2 else 1
-        coef = 1
-        for b in key:
-            coef *= factorial(len(partition_restrict(y, b)) - 1)
-        out.append((y, Fraction(sign * coef)))
-    return out
+    return [(y, mobius_partition(key, y)) for y in partition_refinements(key)]
 
 
 def _g_H_to_Q(key):
@@ -443,14 +380,7 @@ def _pi_P_to_M(key):
 
 
 def _pi_M_to_P(key):
-    out = []
-    for x in partition_coarsenings(key):
-        sign = -1 if (len(key) - len(x)) % 2 else 1
-        coef = 1
-        for b in x:
-            coef *= factorial(len(partition_restrict(key, b)) - 1)
-        out.append((x, Fraction(sign * coef)))
-    return out
+    return [(x, mobius_partition(x, key)) for x in partition_coarsenings(key)]
 
 
 def _g_P_to_M(key, ambient):

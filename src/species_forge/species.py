@@ -16,7 +16,6 @@ LinCombs.  The checkers and antipode code pick the fast path when available.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 from .exactlin import LinComb, LinMap, lc_sum
@@ -51,6 +50,7 @@ class SpeciesModel:
     cocommutative = False
     set_theoretic = False
     monomial = False
+    family = None
 
     # -- basis ------------------------------------------------------------
 
@@ -263,6 +263,9 @@ class DualModel(SpeciesModel):
     def basis_on(self, mask):
         return self.primal.basis_on(mask)
 
+    def dim(self, n):
+        return self.primal.dim(n)
+
     def relabel(self, perm, key):
         return self.primal.relabel(perm, key)
 
@@ -311,6 +314,9 @@ class HadamardModel(SpeciesModel):
 
     def basis_on(self, mask):
         return tuple(itertools.product(self.left.basis_on(mask), self.right.basis_on(mask)))
+
+    def dim(self, n):
+        return self.left.dim(n) * self.right.dim(n)
 
     def relabel(self, perm, key):
         return (self.left.relabel(perm, key[0]), self.right.relabel(perm, key[1]))
@@ -428,17 +434,53 @@ def _pairs(full):
     return tuple((S, full ^ S) for S in submasks(full))
 
 
-def check_naturality(model, n, nperms=100, seed=7):
-    full = full_mask(n)
+def adjacent_transpositions(n):
+    """The n-1 generators of S_n that swap labels i and i+1."""
+    out = []
+    for i in range(n - 1):
+        s = list(range(n))
+        s[i], s[i + 1] = i + 1, i
+        out.append(tuple(s))
+    return out
+
+
+def check_relabel_action(model, n):
+    """Relabeling is an action of S_n on the keys over every subset of [n]:
+    the identity fixes each key, and relabel(s o t) = relabel(s) relabel(t)
+    for every adjacent transposition s and every t in S_n, where
+    (s o t)[i] = s[t[i]].  Each permutation is a word in the generators, so
+    this is functoriality for all of S_n."""
+    perms = list(itertools.permutations(range(n)))  # the identity first
+    index = {p: i for i, p in enumerate(perms)}
+    gens = adjacent_transpositions(n)
+    composites = [[(s, index[tuple(s[i] for i in t)]) for s in gens] for t in perms]
     bad = []
-    if n <= 1:
-        return bad
-    perms = list(itertools.permutations(range(n)))
-    if len(perms) > nperms:
-        rng = random.Random(seed)
-        perms = [tuple(rng.sample(range(n), n)) for _ in range(nperms)]
+    for S in submasks(full_mask(n)):
+        for k in model.basis_on(S):
+            images = [model.relabel(t, k) for t in perms]
+            if images[0] != k:
+                bad.append(("relabel", perms[0], perms[0], k))
+            for t, tk, steps in zip(perms, images, composites):
+                for s, st in steps:
+                    if images[st] != model.relabel(s, tk):
+                        bad.append(("relabel", s, t, k))
+    return bad
+
+
+def check_naturality(model, n):
+    """Product and coproduct commute with relabeling, for every permutation.
+
+    The squares are checked for the n-1 adjacent transpositions, at every
+    split (S, T), and that proves them for all n! permutations.  Each p is a
+    word s_1 ... s_k in the generators.  By the action check, relabeling by p
+    is relabeling by s_k, then ..., then by s_1, and masks compose the same
+    way (mask_permute is an action).  Each step sends a split to a split and
+    commutes with the structure maps there, so the composite does too.
+    Action failures are reported as ("relabel", s, t, key)."""
+    full = full_mask(n)
+    bad = check_relabel_action(model, n)
     pairs = _pairs(full)
-    for perm in perms:
+    for perm in adjacent_transpositions(n):
         for S, T in pairs:
             sS = mask_permute(S, perm)
             sT = mask_permute(T, perm)

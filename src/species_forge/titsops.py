@@ -11,6 +11,7 @@ from math import factorial
 
 from .exactlin import LinComb, LinMap, lc_sum
 from .kernels import comp_tits, dec_tits, popcount
+from .models import _sigma_Q_to_H
 from .setcomb import (
     compositions_of,
     decompositions_exact,
@@ -19,8 +20,6 @@ from .setcomb import (
     mobius_partition,
     partitions_of,
     positive_part,
-    refinements,
-    rel_length,
     submasks,
 )
 from .species import (
@@ -169,11 +168,7 @@ def euler_first(n):
 
 def q_basis_in_h(F):
     """The triangular expansion of the Q element of a composition."""
-    out = {}
-    for g in refinements(F):
-        sign = -1 if (len(g) - len(F)) % 2 else 1
-        out[g] = Fraction(sign, rel_length(F, g))
-    return LinComb.wrap(out)
+    return LinComb.wrap(dict(_sigma_Q_to_H(F)))
 
 
 def garsia_reutenauer(X, n):

@@ -2,8 +2,8 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-On the pure-Python backend the whole tier-1 suite (202 tests) took about
-10 minutes on a 2-core machine, most of it in criterion 1.
+The whole tier-1 suite (210 tests) took about 10 minutes on a 2-core
+machine, most of it in criterion 1.
 """
 
 from fractions import Fraction

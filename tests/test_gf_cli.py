@@ -1,13 +1,18 @@
 """Generating-function transforms and the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from species_forge import build_model
+from species_forge import cli
 from species_forge.cli import main
 from species_forge.gf import (
     binomial_transform,
@@ -158,6 +163,17 @@ def test_cli_antipode_not_hopf():
     assert main(["antipode", "SigmaHat:2", "2", "H", "takeuchi"]) == 3
 
 
+def test_cli_boundary_inputs_end_in_exit_codes(capsys):
+    for argv in (["antipode", "dual:L", "2", "Q", "takeuchi"],
+                 ["antipode", "had:L,L", "2", "Q", "takeuchi"],
+                 ["idempotents", "2", "--check-decomposition", "Q:dual:Sigma"],
+                 ["antipode", "E", "2", "Q", "takeuchi"],
+                 ["antipode", "Lq:2", "2", "Q", "closed"]):
+        _assert_usage_error(capsys, argv)
+    assert main(["series", "exp-log", "--model", "SigmaHat:2", "--nmax", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_gf(capsys):
     assert main(["gf", "L", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -167,6 +183,27 @@ def test_cli_gf(capsys):
 def test_cli_gf_not_hopf(capsys):
     assert main(["gf", "SigmaHat:3", "2"]) == 3
     assert "is not a Hopf monoid" in capsys.readouterr().err
+
+
+def test_cli_gf_budget(capsys):
+    # orbit counting would enumerate 12!, 2^21 keys; degree 61 has no masks
+    for argv in (["gf", "L", "12"], ["gf", "G", "7"], ["gf", "E", "61"]):
+        _assert_usage_error(capsys, argv)
+
+
+def test_cli_gf_dimensions_only_for_linearized_models(capsys):
+    assert main(["gf", "dual:L", "12"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dims"][12] == "479001600"
+    assert "type_dims" not in payload
+
+
+def test_cli_gf_budget_override(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GF_MAX_KEYS", 100)
+    _assert_usage_error(capsys, ["gf", "L", "6"])
+    monkeypatch.setenv("SPECIES_FORGE_MAX_N", "6")
+    assert main(["gf", "L", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["type_dims"][6] == "1"
 
 
 def test_cli_idempotents(capsys):
@@ -215,3 +252,68 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# every input of the grammar below ends in a documented exit code
+
+Q_STRINGS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)),
+    st.sampled_from(["", "x", "1/0"]))
+BASE_MODELS = st.one_of(
+    st.sampled_from(["E", "L", "Pi", "G", "Sigma", "SigmaHat:0", "SigmaHat:2",
+                     "SigmaHat:x", "Bogus", ""]),
+    st.builds(str.__add__, st.sampled_from(["Lq:", "Sigmaq:"]), Q_STRINGS))
+
+
+def _models(depth):
+    if depth == 0:
+        return BASE_MODELS
+    inner = _models(depth - 1)
+    return st.one_of(
+        BASE_MODELS,
+        st.builds("dual:{}".format, inner),
+        st.builds("Q:{}".format, inner),
+        st.builds("had:{},{}".format, inner, inner))
+
+
+MODELS = _models(2)
+DEGREES = st.integers(-1, 2).map(str)
+FORMAT = st.sampled_from([[], ["--format", "table"]])
+
+
+@st.composite
+def cli_inputs(draw):
+    command = draw(st.sampled_from(["verify", "antipode", "gf", "idempotents",
+                                    "series", "dump"]))
+    if command == "idempotents":
+        argv = [command, draw(DEGREES)]
+        if draw(st.booleans()):
+            argv.append("--check-orthogonality")
+        if draw(st.booleans()):
+            argv += ["--check-decomposition", draw(MODELS)]
+    elif command == "series":
+        op = draw(st.sampled_from(["log-uni", "exp-log", "power-laws", "bogus"]))
+        argv = [command, op, "--model", draw(MODELS), "--nmax", draw(DEGREES)]
+    else:
+        argv = [command, draw(MODELS), draw(DEGREES)]
+        if command == "antipode":
+            argv += [draw(st.sampled_from(["H", "Q"])),
+                     draw(st.sampled_from(["takeuchi", "mm-left", "mm-right", "closed"]))]
+            if draw(st.booleans()):
+                argv.append("--cross-check")
+    if command != "idempotents" and draw(st.sampled_from([False, False, False, True])):
+        argv += ["--q", draw(Q_STRINGS)]
+    return argv + draw(FORMAT)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(cli_inputs())
+def test_cli_inputs_end_in_documented_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv

@@ -186,12 +186,13 @@ def test_graph_utilities():
 
 
 def test_graph_encoding():
-    g = graphs.SimpleGraph(3, [(0, 1), (0, 2)])
-    assert g.encode() == "3:e01,e02"
-    assert graphs.SimpleGraph.decode("3:e01,e02") == g
-    assert graphs.SimpleGraph(2, []).encode() == "2:"
-    with pytest.raises(ValueError):
-        graphs.SimpleGraph(2, [(0, 2)])
+    g = graphs.edges_from_pairs([(0, 1), (0, 2)])
+    assert graphs.encode_graph(g, 3) == "3:e01,e02"
+    assert graphs.decode_graph("3:e01,e02") == (g, 3)
+    assert graphs.encode_graph(0, 2) == "2:"
+    for bad in ("2:e02", "3:e11"):
+        with pytest.raises(ValueError):
+            graphs.decode_graph(bad)
 
 
 # ---------------------------------------------------------------------------

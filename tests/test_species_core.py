@@ -5,6 +5,8 @@ import pytest
 
 from species_forge import build_model, dual_model, hadamard, orbit_count
 from species_forge.exactlin import LinComb
+from species_forge.models import CompositionModel, LinearOrderModel
+from species_forge.series import Series, check_invariance
 from species_forge.setcomb import (
     compositions_of,
     decode_comp,
@@ -20,6 +22,7 @@ from species_forge.species import (
     UnsupportedOperation,
     check_associativity,
     check_axiom,
+    check_naturality,
     delta_shape,
     delta_shape_key,
     higher_delta,
@@ -285,3 +288,35 @@ def test_degenerate_braiding_parameter():
     for name in ("Lq:0", "Sigmaq:0"):
         reports = run_axiom_suite(build_model(name), 3)
         assert all(r.ok() for r in reports), name
+
+
+SIGMA0 = (0, 2, 4, 1, 3)  # not an adjacent transposition
+
+
+class BrokenRelabelL(LinearOrderModel):
+    """Linear orders whose relabeling reverses the degree-5 orders under the
+    single permutation SIGMA0: every square for a generator still commutes,
+    so only the action check can see it."""
+
+    def relabel(self, perm, key):
+        out = super().relabel(perm, key)
+        return out[::-1] if perm == SIGMA0 and len(key) == 5 else out
+
+
+class LabelDependentProduct(CompositionModel):
+    """Compositions whose product doubles when label 0 is on the left: the
+    relabeling action is fine, the product square is not."""
+
+    def product_key(self, S, T, x, y):
+        return (2 if S & 1 else 1), x + y
+
+
+def test_naturality_catches_a_relabeling_that_is_not_an_action():
+    bad = check_naturality(BrokenRelabelL(), 5)
+    assert bad and {b[0] for b in bad} == {"relabel"}
+    assert not check_invariance(Series(BrokenRelabelL(), 5, {}))
+
+
+def test_naturality_catches_a_label_dependent_product():
+    bad = check_naturality(LabelDependentProduct(), 3)
+    assert bad and {b[0] for b in bad} == {"product"}
