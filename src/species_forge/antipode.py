@@ -196,29 +196,16 @@ def closed_term_count(model, key, n):
 # verification
 
 
-def verify_antipode(model, n, candidate=None, reference_method="takeuchi"):
-    """Check both convolution identities at degree n on every basis key.
-
-    The degree-n antipode piece is `candidate` when given (lower degrees come
-    from the reference method); failures are returned as data.
-    """
+def verify_antipode(model, fam, n):
+    """Check both convolution identities at degree n on every basis key for
+    the antipode family `fam` (degree -> LinMap, for degrees 0..n); failures
+    are returned as data."""
     _require_hopf(model)
-    if candidate is None:
-        fam = antipode_family(model, n, reference_method)
-    else:
-        fam = antipode_family(model, n - 1, reference_method)
-        fam[n] = candidate
     idf = identity_family(model, n)
-    uf = unit_family(model, n)
+    unit = unit_family(model, n)[n]
     bad = []
-    left = convolve(model, idf, fam, n)
-    if left != uf[n]:
-        for k in model.basis(n):
-            if left(k) != uf[n](k):
-                bad.append(("id*S", k))
-    right = convolve(model, fam, idf, n)
-    if right != uf[n]:
-        for k in model.basis(n):
-            if right(k) != uf[n](k):
-                bad.append(("S*id", k))
+    for label, conv in (("id*S", convolve(model, idf, fam, n)),
+                        ("S*id", convolve(model, fam, idf, n))):
+        if conv != unit:
+            bad.extend((label, k) for k in model.basis(n) if conv(k) != unit(k))
     return bad

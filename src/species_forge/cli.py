@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import graphs
-from .antipode import METHODS, antipode, has_closed_form, verify_antipode
+from .antipode import METHODS, antipode_family, has_closed_form, verify_antipode
 from .exactlin import rational_str
 from .gf import sequence_transform_report
 from .models import (
@@ -63,6 +63,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 GF_MAX_KEYS = 10 ** 6  # basis keys gf may enumerate to count types
+SIGMAHAT_MAX_BLOCKS = 3  # SigmaHat:<k> with more blocks needs SPECIES_FORGE_MAX_N >= k
 
 
 class UsageError(Exception):
@@ -144,9 +145,32 @@ def _max_n_override():
 
 
 def _check_budget(name, n):
-    cap = max(degree_budget(name), _max_n_override())
+    """The degree budget, and the block budget of SigmaHat: SigmaHat:<k> has
+    k + 1 degree-0 keys, and a spec with more than SigmaHat:3's 4 (a larger
+    k, or a Hadamard product of SigmaHat factors) is refused.
+    SPECIES_FORGE_MAX_N lifts both."""
+    override = _max_n_override()
+    cap = max(degree_budget(name), override)
     if n > cap:
         raise UsageError(f"degree {n} exceeds the budget {cap} for {name}")
+    blocks = _build_named(name).dim(0) - 1
+    if blocks > max(SIGMAHAT_MAX_BLOCKS, override):
+        raise UsageError(f"{name} has {blocks + 1} degree-0 keys, over the "
+                         f"{SIGMAHAT_MAX_BLOCKS + 1} of SigmaHat:{SIGMAHAT_MAX_BLOCKS}; "
+                         f"set SPECIES_FORGE_MAX_N={blocks} to run it")
+
+
+def _write(text):
+    """Print to stdout.  A reader that closes the pipe early (`| head`) ends
+    the output, not the command: stdout then points at devnull, so the
+    interpreter's final flush cannot raise again."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(payload, args):
@@ -155,7 +179,7 @@ def _emit(payload, args):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +190,7 @@ def cmd_verify(args):
     name, model = _build(args)
     nmax = args.nmax
     _check_budget(name, nmax)
-    dec_blocks = getattr(model, "max_blocks", None)
-    reports = run_axiom_suite(model, nmax, dec_blocks=dec_blocks)
+    reports = run_axiom_suite(model, nmax)
     payload = {
         "schema": SCHEMA,
         "command": "verify",
@@ -181,10 +204,9 @@ def cmd_verify(args):
     if not model.connected:
         payload["advisory"] = ["not-hopf"]
     if args.format == "table":
-        for r in reports:
-            status = "pass" if r.ok() else "FAIL"
-            print(f"{name} n={r.degree}: {status} " +
-                  " ".join(f"{a}={c}" for a, c in sorted(r.counts().items())))
+        _write("\n".join(
+            f"{name} n={r.degree}: {'pass' if r.ok() else 'FAIL'} " +
+            " ".join(f"{a}={c}" for a, c in sorted(r.counts().items())) for r in reports))
     else:
         _emit(payload, args)
     return EXIT_PASS if payload["pass"] else EXIT_FAIL
@@ -199,11 +221,13 @@ def cmd_antipode(args):
         return EXIT_UNSUPPORTED
     if args.method == "closed" and not has_closed_form(model):
         raise UsageError(f"no closed antipode form registered for {name}")
+    checked = model if args.basis == "H" else q_view(model)
     try:
-        table = antipode(model, n, args.method, args.basis)
+        fams = {args.method: antipode_family(checked, n, args.method)}
     except NotHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    table = fams[args.method][n]
     enc = key_encoder(model, n)
     payload = {
         "schema": SCHEMA,
@@ -219,18 +243,18 @@ def cmd_antipode(args):
         methods = ["takeuchi", "mm-left", "mm-right"]
         if has_closed_form(model) or (args.basis == "Q"):
             methods.append("closed")
-        tables = {m: table if m == args.method else antipode(model, n, m, args.basis)
-                  for m in methods}
-        agree = all(tables[m] == table for m in methods)
-        checked = model if args.basis == "H" else q_view(model)
-        conv_ok = not verify_antipode(checked, n, candidate=table)
+        for m in methods:
+            if m not in fams:
+                fams[m] = antipode_family(checked, n, m)
+        agree = all(fams[m][n] == table for m in methods)
+        conv_ok = not verify_antipode(checked, {**fams["takeuchi"], n: table}, n)
         payload["cross_check"] = {"methods": methods, "agree": agree,
                                   "convolution_identity": conv_ok}
         if not (agree and conv_ok):
             status = EXIT_FAIL
     if args.format == "table":
-        for k in table.domain:
-            print(f"{enc(k) or '()'}: {lincomb_text(table(k), enc)}")
+        _write("\n".join(f"{enc(k) or '()'}: {lincomb_text(table(k), enc)}"
+                          for k in table.domain))
     else:
         _emit(payload, args)
     return status

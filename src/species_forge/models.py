@@ -308,16 +308,6 @@ def q_view(model):
     return _Q_VIEWS[model.family]()
 
 
-def m_view(model):
-    """The M basis lives in the dual model."""
-    return dual_model(model)
-
-
-def p_view(model):
-    """The P basis is dual to Q."""
-    return dual_model(q_view(model))
-
-
 # ---------------------------------------------------------------------------
 # triangular basis changes
 
@@ -570,6 +560,24 @@ def duality_map(name, n, q=ONE):
 # registry
 
 
+Q_MAX_EXPONENT = 4300  # Python's int-to-string digit limit
+
+
+def _parse_q(text):
+    """The rational braiding parameter of Lq:<q> and Sigmaq:<q>.  Fraction
+    expands a decimal exponent into an integer with that many digits, so an
+    exponent beyond the digit limit (whose q could not be printed in the
+    model name anyway) is refused first."""
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > Q_MAX_EXPONENT
+    except ValueError:
+        too_big = False  # not an exponent: Fraction rejects or reads it
+    if too_big:
+        raise ValueError(f"the exponent of q={text!r} exceeds {Q_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def build_model(name):
     """Build a model from its registry name.
 
@@ -582,7 +590,7 @@ def build_model(name):
     if name == "L":
         return LinearOrderModel()
     if name.startswith("Lq:"):
-        return LinearOrderModel(Fraction(name[3:]))
+        return LinearOrderModel(_parse_q(name[3:]))
     if name == "Pi":
         return PartitionModel()
     if name == "G":
@@ -590,7 +598,7 @@ def build_model(name):
     if name == "Sigma":
         return CompositionModel()
     if name.startswith("Sigmaq:"):
-        return CompositionModel(Fraction(name[7:]))
+        return CompositionModel(_parse_q(name[7:]))
     if name.startswith("SigmaHat:"):
         return DecompositionModel(int(name[9:]))
     if name.startswith("dual:"):

@@ -26,6 +26,7 @@ from .titsops import (
     binomial_general,
     euler_first,
     h_power,
+    is_primitive,
     mu_pair,
     product_along,
     psi_map,
@@ -207,17 +208,8 @@ def is_group_like(s):
 
 
 def is_primitive_series(s):
-    if s.comps[0]:
-        return False
-    model = s.model
-    for n in range(1, s.nmax + 1):
-        full = full_mask(n)
-        for S in submasks(full):
-            if S == 0 or S == full:
-                continue
-            if delta_shape(model, (S, full ^ S), s.comps[n]):
-                return False
-    return True
+    return not s.comps[0] and all(is_primitive(s.model, full_mask(n), s.comps[n])
+                                  for n in range(1, s.nmax + 1))
 
 
 def is_gh_primitive(x, g, h):

@@ -43,11 +43,11 @@ __all__ = [
     "area", "dist", "dist_opp", "popcount", "mask_permute",
     "comp_permute", "comp_restrict", "comp_tits", "comp_refines",
     "dec_restrict", "dec_tits", "tits_perm",
-    "comp_concat", "comp_opp", "comp_length", "comp_factorial",
+    "comp_concat", "comp_opp", "comp_factorial",
     "rel_length", "rel_factorial", "support", "positive_part",
     "partition_sort", "partition_restrict", "partition_union",
     "partition_refines", "partition_join", "cyclic_factorial",
-    "partition_factorial", "partition_rel_length", "partition_rel_factorial",
+    "partition_factorial", "partition_rel_factorial",
     "mobius_partition",
     "compositions_of", "partitions_of", "decompositions_exact",
     "decompositions_of", "refinements", "partition_refinements",
@@ -95,10 +95,6 @@ def comp_concat(f, g):
 
 def comp_opp(f):
     return tuple(reversed(f))
-
-
-def comp_length(f):
-    return len(f)
 
 
 def comp_factorial(f):
@@ -195,15 +191,6 @@ def partition_factorial(x):
     out = 1
     for b in x:
         out *= factorial(popcount(b))
-    return out
-
-
-def partition_rel_length(x, y):
-    if not partition_refines(x, y):
-        raise ValueError("expected a refinement pair x <= y")
-    out = 1
-    for b in x:
-        out *= len(partition_restrict(y, b))
     return out
 
 

@@ -22,6 +22,7 @@ from .exactlin import LinComb, LinMap, lc_sum
 from .kernels import comp_restrict, dist, mask_permute, popcount, tits_perm
 from .setcomb import (
     compositions_of,
+    decompositions_exact,
     decompositions_of,
     full_mask,
     mask_labels,
@@ -51,6 +52,7 @@ class SpeciesModel:
     set_theoretic = False
     monomial = False
     family = None
+    max_blocks = 3  # block bound of the decomposition sweep (non-connected models)
 
     # -- basis ------------------------------------------------------------
 
@@ -574,46 +576,11 @@ def check_counitality(model, n):
 
 
 def check_compatibility(model, n):
-    """The square linking one product to one coproduct through the braiding."""
-    full = full_mask(n)
-    q = model.q
-    bad = []
-    pairs = _pairs(full)
-    for S1, S2 in pairs:
-        b1 = model.basis_on(S1)
-        b2 = model.basis_on(S2)
-        for T1, T2 in pairs:
-            A, B = S1 & T1, S1 & T2
-            C, D = S2 & T1, S2 & T2
-            for x in b1:
-                dx = model.coproduct(A, B, x)
-                for y in b2:
-                    prod = model.product(S1, S2, x, y)
-                    lhs = {}
-                    for k, c in prod.terms.items():
-                        for pair, c2 in model.coproduct(T1, T2, k).terms.items():
-                            w = lhs.get(pair, ZERO) + c * c2
-                            if w:
-                                lhs[pair] = w
-                            else:
-                                del lhs[pair]
-                    dy = model.coproduct(C, D, y)
-                    rhs = {}
-                    for (x1, x2), c in dx.terms.items():
-                        for (y1, y2), c2 in dy.terms.items():
-                            braid = c * c2 * q ** (popcount(B) * popcount(C)) if q != 1 else c * c2
-                            if not braid:
-                                continue
-                            for kl, cl in model.product(A, C, x1, y1).terms.items():
-                                for kr, cr in model.product(B, D, x2, y2).terms.items():
-                                    w = rhs.get((kl, kr), ZERO) + braid * cl * cr
-                                    if w:
-                                        rhs[(kl, kr)] = w
-                                    else:
-                                        del rhs[(kl, kr)]
-                    if lhs != rhs:
-                        bad.append((S1, S2, T1, T2, x, y))
-    return bad
+    """The square linking one product to one coproduct through the braiding:
+    higher compatibility on the two-block decompositions.  For F = (S1, S2)
+    and G = (T1, T2) the splitting of FG is (A, B | C, D) with A = S1 & T1,
+    and the braiding is q^dist((A, B, C, D), (A, C, B, D)) = q^(|B||C|)."""
+    return _higher_compatibility_sweep(model, decompositions_exact(full_mask(n), 2), _dec_split)
 
 
 def check_degree_zero(model):
@@ -774,15 +741,15 @@ def _rhs_generic(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
     return out
 
 
-def check_higher_compatibility_dec(model, n, max_blocks):
+def check_higher_compatibility_dec(model, n):
     """Decomposition-indexed variant for non-connected models: F and G range
-    over decompositions with at most `max_blocks` blocks, with the canonical
-    row/column splittings of FG and GF."""
-    return _higher_compatibility_sweep(model, decompositions_of(full_mask(n), max_blocks),
+    over decompositions with at most `model.max_blocks` blocks, with the
+    canonical row/column splittings of FG and GF."""
+    return _higher_compatibility_sweep(model, decompositions_of(full_mask(n), model.max_blocks),
                                        _dec_split)
 
 
-def check_axiom(model, axiom, n, dec_blocks=None):
+def check_axiom(model, axiom, n):
     """Run a single named axiom check at degree n; returns counterexamples."""
     if axiom == "naturality":
         return check_naturality(model, n)
@@ -799,7 +766,7 @@ def check_axiom(model, axiom, n, dec_blocks=None):
     if axiom == "higher-compatibility":
         if model.connected:
             return check_higher_compatibility(model, n)
-        return check_higher_compatibility_dec(model, n, dec_blocks or 3)
+        return check_higher_compatibility_dec(model, n)
     if axiom == "commutativity":
         return check_commutativity(model, n)
     if axiom == "cocommutativity":
@@ -807,7 +774,7 @@ def check_axiom(model, axiom, n, dec_blocks=None):
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def run_axiom_suite(model, nmax, dec_blocks=None):
+def run_axiom_suite(model, nmax):
     """All applicable axiom checks for degrees 0..nmax; one report per degree."""
     reports = []
     for n in range(nmax + 1):
@@ -822,7 +789,7 @@ def run_axiom_suite(model, nmax, dec_blocks=None):
         if model.cocommutative:
             axioms.append("cocommutativity")
         for axiom in axioms:
-            rep.record(axiom, check_axiom(model, axiom, n, dec_blocks=dec_blocks))
+            rep.record(axiom, check_axiom(model, axiom, n))
         reports.append(rep)
     return reports
 

@@ -394,21 +394,8 @@ def commutator(model, S, T, xs, ys):
 def is_primitive(model, mask, lc):
     """Whether lc, supported on the component `mask`, kills all proper
     two-block coproducts."""
-    for S in submasks(mask):
-        if S == 0 or S == mask:
-            continue
-        T = mask ^ S
-        img = {}
-        for k, c in lc.terms.items():
-            for pair, c2 in model.coproduct(S, T, k).terms.items():
-                w = img.get(pair, ZERO) + c * c2
-                if w:
-                    img[pair] = w
-                else:
-                    del img[pair]
-        if img:
-            return False
-    return True
+    return not any(delta_shape(model, (S, mask ^ S), lc)
+                   for S in submasks(mask) if S and S != mask)
 
 
 def left_bracketing(model, shape, factors):
@@ -498,19 +485,10 @@ def pbw_check(model, n):
         return report
     report["bijective"] = lm.rank() == len(lm.domain)
     full = full_mask(n)
-    images = {key: lm.cols[key] for key in lm.domain}
     for S in submasks(full):
         T = full ^ S
         for (X, idx) in lm.domain:
-            img = images[(X, idx)]
-            lhs = {}
-            for k, c in img.terms.items():
-                for pair, c2 in model.coproduct(S, T, k).terms.items():
-                    w = lhs.get(pair, ZERO) + c * c2
-                    if w:
-                        lhs[pair] = w
-                    else:
-                        del lhs[pair]
+            lhs = delta_shape(model, (S, T), lm.cols[(X, idx)]).terms
             admissible = all((b & S == b) or (b & S == 0) for b in X)
             rhs = {}
             if admissible:

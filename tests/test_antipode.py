@@ -127,10 +127,11 @@ def test_primitives_are_negated():
 
 
 def test_verify_antipode():
-    assert verify_antipode(Pi, 4) == []
-    assert verify_antipode(Sigma, 3) == []
-    bad = verify_antipode(L, 2, candidate=LinMap.identity(L.basis(2)))
-    assert bad
+    assert verify_antipode(Pi, antipode_family(Pi, 4), 4) == []
+    assert verify_antipode(Sigma, antipode_family(Sigma, 3), 3) == []
+    fam = antipode_family(L, 2)
+    fam[2] = LinMap.identity(L.basis(2))
+    assert verify_antipode(L, fam, 2)
 
 
 def test_graph_closed_form_is_cancellation_free():

@@ -128,6 +128,34 @@ def test_cli_bad_degree_override_is_usage_error(capsys, monkeypatch):
     _assert_usage_error(capsys, ["verify", "E", "2"])
 
 
+def test_cli_exponent_form_q_is_bounded(capsys):
+    # Fraction would expand 10^999999999 into a billion-digit integer
+    _assert_usage_error(capsys, ["verify", "Lq:1e999999999", "1"])
+    _assert_usage_error(capsys, ["verify", "Sigma", "1", "--q", "1e-999999999"])
+
+
+def test_cli_sigmahat_block_budget(capsys, monkeypatch):
+    # SigmaHat:1000 has 250500250000 keys in degree 3
+    for argv in (["verify", "SigmaHat:4", "3"], ["dump", "SigmaHat:1000", "3"],
+                 ["verify", "dual:SigmaHat:9", "1"]):
+        _assert_usage_error(capsys, argv)
+    monkeypatch.setenv("SPECIES_FORGE_MAX_N", "4")
+    assert main(["dump", "SigmaHat:4", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "SigmaHat:4"
+
+
+def test_cli_closed_stdout_is_not_a_traceback():
+    # the payload of dump Sigma 4 (about 178 kB) overflows the pipe buffer,
+    # so the reader closes the pipe while the command is still writing
+    proc = subprocess.Popen([sys.executable, "-m", "species_forge.cli", "dump", "Sigma", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err
+
+
 def test_cli_decomposition_model_is_validated(capsys):
     _assert_usage_error(capsys, ["idempotents", "3", "--check-decomposition", "Bogus"])
     _assert_usage_error(capsys, ["idempotents", "5", "--check-decomposition", "G"])
@@ -258,7 +286,7 @@ def test_cli_entry_point_runs():
 
 Q_STRINGS = st.one_of(
     st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)),
-    st.sampled_from(["", "x", "1/0"]))
+    st.sampled_from(["", "x", "1/0", "1e999999999", "1e-999999999"]))
 BASE_MODELS = st.one_of(
     st.sampled_from(["E", "L", "Pi", "G", "Sigma", "SigmaHat:0", "SigmaHat:2",
                      "SigmaHat:x", "Bogus", ""]),

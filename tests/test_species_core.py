@@ -5,6 +5,7 @@ import pytest
 
 from species_forge import build_model, dual_model, hadamard, orbit_count
 from species_forge.exactlin import LinComb
+from species_forge.kernels import area, comp_restrict
 from species_forge.models import CompositionModel, LinearOrderModel
 from species_forge.series import Series, check_invariance
 from species_forge.setcomb import (
@@ -22,6 +23,7 @@ from species_forge.species import (
     UnsupportedOperation,
     check_associativity,
     check_axiom,
+    check_compatibility,
     check_naturality,
     delta_shape,
     delta_shape_key,
@@ -162,7 +164,7 @@ def test_axiom_suites_small_degrees():
 
 def test_axiom_suite_decomposition_model():
     hat = build_model("SigmaHat:3")
-    reports = run_axiom_suite(hat, 2, dec_blocks=3)
+    reports = run_axiom_suite(hat, 2)
     assert all(r.ok() for r in reports)
 
 
@@ -195,6 +197,29 @@ class CorruptedModel(SpeciesModel):
 def test_corrupted_model_fails_associativity():
     bad = check_associativity(CorruptedModel(), 3)
     assert bad
+
+
+def test_corrupted_model_fails_compatibility():
+    # the generic (non-monomial) path of the two-block sweep
+    assert len(check_compatibility(CorruptedModel(), 3)) == 12
+
+
+class OppositeAreaSigma(CompositionModel):
+    """Sigma_q with the braiding of its coproduct read the wrong way round:
+    q to the area of (T, S) instead of (S, T).  Coassociativity survives,
+    the bimonoid squares do not."""
+
+    def coproduct_key(self, S, T, key):
+        return self.q ** area(key, T, S), (comp_restrict(key, S), comp_restrict(key, T))
+
+
+def test_compatibility_catches_an_opposite_braiding():
+    # the monomial fast path of the two-block sweep
+    reports = run_axiom_suite(OppositeAreaSigma(2), 3)
+    failing = [{a: c for a, c in r.counts().items() if c} for r in reports]
+    assert failing == [{}, {},
+                       {"compatibility": 4, "higher-compatibility": 4},
+                       {"compatibility": 108, "higher-compatibility": 240}]
 
 
 def test_duality():
