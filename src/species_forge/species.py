@@ -323,6 +323,12 @@ class HadamardModel(SpeciesModel):
     def relabel(self, perm, key):
         return (self.left.relabel(perm, key[0]), self.right.relabel(perm, key[1]))
 
+    def unit_key(self):
+        return (self.left.unit_key(), self.right.unit_key())
+
+    def counit(self, key):
+        return self.left.counit(key[0]) * self.right.counit(key[1])
+
     def product_key(self, S, T, x, y):
         c1, k1 = self.left.product_key(S, T, x[0], y[0])
         c2, k2 = self.right.product_key(S, T, x[1], y[1])
@@ -367,31 +373,55 @@ def hadamard(left, right):
     return HadamardModel(left, right)
 
 
-def orbit_count(model, n):
-    """Number of orbits of the symmetric group on the degree-n basis."""
-    if not model.set_theoretic:
-        raise UnsupportedOperation("orbit counting needs a set-theoretic model")
-    keys = set(model.basis(n))
-    if n <= 1:
-        return len(keys)
-    gens = []
+def _block_generators(mask, n):
+    """Two permutations of [n] that generate the permutations of the labels
+    in `mask` and fix the rest: the swap of the two lowest labels and the
+    cycle over all of them."""
+    labels = mask_labels(mask)
+    m = len(labels)
+    if m < 2:
+        return []
     swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    gens.append(tuple(swap))
-    gens.append(tuple((i + 1) % n for i in range(n)))
-    orbits = 0
-    while keys:
-        seed = keys.pop()
-        orbits += 1
-        frontier = [seed]
+    swap[labels[0]], swap[labels[1]] = labels[1], labels[0]
+    cycle = list(range(n))
+    for j in range(m):
+        cycle[labels[j]] = labels[(j + 1) % m]
+    return [tuple(swap), tuple(cycle)]
+
+
+def orbit_representatives(model, mask, n):
+    """One key per orbit on basis_on(mask) of the permutations of [n] that
+    fix every label outside `mask`, each the first of its orbit in basis
+    order, found by a search along _block_generators.  Images outside the
+    basis are not followed; the orbits are exact when relabeling is an
+    action that keeps to the basis, as check_relabel_action checks."""
+    gens = _block_generators(mask, n)
+    basis = model.basis_on(mask)
+    unseen = set(basis)
+    reps = []
+    for rep in basis:
+        if not unseen:
+            break
+        if rep not in unseen:
+            continue
+        unseen.remove(rep)
+        reps.append(rep)
+        frontier = [rep]
         while frontier:
             k = frontier.pop()
             for g in gens:
                 k2 = model.relabel(g, k)
-                if k2 in keys:
-                    keys.remove(k2)
+                if k2 in unseen:
+                    unseen.remove(k2)
                     frontier.append(k2)
-    return orbits
+    return reps
+
+
+def orbit_count(model, n):
+    """Number of orbits of the symmetric group on the degree-n basis."""
+    if not model.set_theoretic:
+        raise UnsupportedOperation("orbit counting needs a set-theoretic model")
+    return len(orbit_representatives(model, full_mask(n), n))
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +466,15 @@ def _pairs(full):
     return tuple((S, full ^ S) for S in submasks(full))
 
 
+def _transposition(n, i, j):
+    s = list(range(n))
+    s[i], s[j] = j, i
+    return tuple(s)
+
+
 def adjacent_transpositions(n):
     """The n-1 generators of S_n that swap labels i and i+1."""
-    out = []
-    for i in range(n - 1):
-        s = list(range(n))
-        s[i], s[i + 1] = i + 1, i
-        out.append(tuple(s))
-    return out
+    return [_transposition(n, i, i + 1) for i in range(n - 1)]
 
 
 def check_relabel_action(model, n):
@@ -451,13 +482,24 @@ def check_relabel_action(model, n):
     the identity fixes each key, and relabel(s o t) = relabel(s) relabel(t)
     for every adjacent transposition s and every t in S_n, where
     (s o t)[i] = s[t[i]].  Each permutation is a word in the generators, so
-    this is functoriality for all of S_n."""
+    this is functoriality for all of S_n.
+
+    Two more checks make it the action of a species.  Each generator s
+    sends basis_on(S) into basis_on(sS).  And a swap of two labels outside S
+    that are adjacent among the labels outside S fixes every key over S;
+    those swaps generate the permutations that fix S pointwise, so
+    relabeling a key over S by p depends only on p restricted to S.  These
+    failures are reported as ("relabel", s, S, key), with the mask S."""
+    full = full_mask(n)
     perms = list(itertools.permutations(range(n)))  # the identity first
     index = {p: i for i, p in enumerate(perms)}
     gens = adjacent_transpositions(n)
     composites = [[(s, index[tuple(s[i] for i in t)]) for s in gens] for t in perms]
     bad = []
-    for S in submasks(full_mask(n)):
+    for S in submasks(full):
+        targets = [(s, set(model.basis_on(mask_permute(S, s)))) for s in gens]
+        outside = mask_labels(full ^ S)
+        fixers = [_transposition(n, a, b) for a, b in zip(outside, outside[1:])]
         for k in model.basis_on(S):
             images = [model.relabel(t, k) for t in perms]
             if images[0] != k:
@@ -466,6 +508,12 @@ def check_relabel_action(model, n):
                 for s, st in steps:
                     if images[st] != model.relabel(s, tk):
                         bad.append(("relabel", s, t, k))
+            for s, target in targets:
+                if model.relabel(s, k) not in target:
+                    bad.append(("relabel", s, S, k))
+            for f in fixers:
+                if model.relabel(f, k) != k:
+                    bad.append(("relabel", f, S, k))
     return bad
 
 
@@ -473,35 +521,39 @@ def check_naturality(model, n):
     """Product and coproduct commute with relabeling, for every permutation.
 
     The squares are checked for the n-1 adjacent transpositions, at every
-    split (S, T), and that proves them for all n! permutations.  Each p is a
-    word s_1 ... s_k in the generators.  By the action check, relabeling by p
-    is relabeling by s_k, then ..., then by s_1, and masks compose the same
-    way (mask_permute is an action).  Each step sends a split to a split and
-    commutes with the structure maps there, so the composite does too.
-    Action failures are reported as ("relabel", s, t, key)."""
-    full = full_mask(n)
+    split (S, T) of every subset of [n], and that proves them for all n!
+    permutations.  Each p is a word s_1 ... s_k in the generators.  By the
+    action check, relabeling by p is relabeling by s_k, then ..., then by
+    s_1, and masks compose the same way (mask_permute is an action).  Each
+    step sends a split of a subset to a split of a subset and commutes with
+    the structure maps there, so the composite does too.  The iterated maps
+    along a shape are built from the products and coproducts on such
+    sub-splits, so they are natural as well.  Action failures are reported
+    as ("relabel", ...) entries by check_relabel_action."""
     bad = check_relabel_action(model, n)
-    pairs = _pairs(full)
-    for perm in adjacent_transpositions(n):
-        for S, T in pairs:
-            sS = mask_permute(S, perm)
-            sT = mask_permute(T, perm)
-            bS = model.basis_on(S)
-            bT = model.basis_on(T)
-            for x in bS:
-                sx = model.relabel(perm, x)
-                for y in bT:
-                    lhs = model.relabel_lc(perm, model.product(S, T, x, y))
-                    rhs = model.product(sS, sT, sx, model.relabel(perm, y))
+    gens = adjacent_transpositions(n)
+    for U in submasks(full_mask(n)):
+        bU = model.basis_on(U)
+        for perm in gens:
+            for S, T in _pairs(U):
+                sS = mask_permute(S, perm)
+                sT = mask_permute(T, perm)
+                bS = model.basis_on(S)
+                bT = model.basis_on(T)
+                for x in bS:
+                    sx = model.relabel(perm, x)
+                    for y in bT:
+                        lhs = model.relabel_lc(perm, model.product(S, T, x, y))
+                        rhs = model.product(sS, sT, sx, model.relabel(perm, y))
+                        if lhs != rhs:
+                            bad.append(("product", perm, S, T, x, y))
+                for z in bU:
+                    lhs = model.coproduct(sS, sT, model.relabel(perm, z))
+                    rhs = LinComb.wrap({
+                        (model.relabel(perm, a), model.relabel(perm, b)): c
+                        for (a, b), c in model.coproduct(S, T, z).terms.items()})
                     if lhs != rhs:
-                        bad.append(("product", perm, S, T, x, y))
-            for z in model.basis_on(full):
-                lhs = model.coproduct(sS, sT, model.relabel(perm, z))
-                rhs = LinComb.wrap({
-                    (model.relabel(perm, a), model.relabel(perm, b)): c
-                    for (a, b), c in model.coproduct(S, T, z).terms.items()})
-                if lhs != rhs:
-                    bad.append(("coproduct", perm, S, T, z))
+                        bad.append(("coproduct", perm, S, T, z))
     return bad
 
 
@@ -580,7 +632,7 @@ def check_compatibility(model, n):
     higher compatibility on the two-block decompositions.  For F = (S1, S2)
     and G = (T1, T2) the splitting of FG is (A, B | C, D) with A = S1 & T1,
     and the braiding is q^dist((A, B, C, D), (A, C, B, D)) = q^(|B||C|)."""
-    return _higher_compatibility_sweep(model, decompositions_exact(full_mask(n), 2), _dec_split)
+    return _compatibility_sweep(model, "compatibility", n, not check_naturality(model, n))
 
 
 def check_degree_zero(model):
@@ -648,16 +700,59 @@ def _dec_split(F, G):
     return ([tuple(b & c for c in G) for b in F], [tuple(b & c for b in F) for c in G], perm)
 
 
-def _higher_compatibility_sweep(model, shapes, split):
+def _is_interval_shape(F):
+    """True iff the blocks of F are consecutive intervals, in order."""
+    pos = 0
+    for b in F:
+        end = pos + popcount(b)
+        if b != full_mask(end) ^ full_mask(pos):
+            return False
+        pos = end
+    return True
+
+
+def _higher_compatibility_sweep(model, n, shapes, split, natural):
     """For every pair F, G of `shapes`: coproduct along G after product along
     F equals product along the G-side splitting of GF, after the braiding,
     after coproduct along the F-side splitting of FG.  `split(F, G)` returns
-    those splittings and the block permutation taking FG to GF."""
+    those splittings and the block permutation taking FG to GF.
+
+    When the model is natural at degree n, one instance (F, G, x) per
+    S_n-orbit decides them all.  The proof: check_naturality gives
+    naturality of product and coproduct on every split of every subset of
+    [n], for all of S_n.  So for every p in S_n, mu_{pF}(p x) = p mu_F(x)
+    and delta_{pG}(p y) = p delta_G(y).  p sends the splittings of FG and GF
+    to those of pF pG and pG pF, keeps the block permutation (it depends
+    only on which intersections are empty) and keeps the braiding exponent
+    dist (it depends only on the sizes of the intersections).  So both
+    sides at (pF, pG, p x) are p applied to both sides at (F, G, x), and
+    relabeling by p is invertible: (F, G, x) fails iff (pF, pG, p x) does.
+
+    The sweep then takes F among the shapes whose blocks are consecutive
+    intervals: every shape is p F for one of them.  The stabilizer of such
+    an F is the product of the permutation groups of its blocks, and by the
+    locality part of check_relabel_action it acts on x blockwise.  So x
+    ranges over products of per-block orbit representatives
+    (orbit_representatives), while G ranges over all shapes.
+
+    `natural` is the verdict check_naturality(model, n) == [].  When it is
+    false, or when a representative fails, every F and every x is checked,
+    so the counterexamples are always those of the full sweep, in its
+    order."""
     bad = []
     q = model.q
     fast = model.monomial
+    reps = {}  # block -> orbit_representatives on it
     for F in shapes:
-        tb = tensor_basis(model, F)
+        if natural:
+            if not _is_interval_shape(F):
+                continue
+            for b in F:
+                if b not in reps:
+                    reps[b] = orbit_representatives(model, b, n)
+            tb = tuple(itertools.product(*[reps[b] for b in F]))
+        else:
+            tb = tensor_basis(model, F)
         lhs_in = [mu_shape_key(model, F, x) if fast else mu_shape(model, F, LinComb.term(x))
                   for x in tb]
         for G in shapes:
@@ -675,13 +770,30 @@ def _higher_compatibility_sweep(model, shapes, split):
                     lhs = delta_shape(model, G, lhs_val).terms
                     rhs = _rhs_generic(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
                 if lhs != rhs:
+                    if natural:
+                        return _higher_compatibility_sweep(model, n, shapes, split, False)
                     bad.append((F, G, x))
     return bad
 
 
+def _compatibility_sweep(model, axiom, n, natural):
+    """The "compatibility" or "higher-compatibility" sweep of check_axiom at
+    degree n, given the verdict natural = check_naturality(model, n) == []
+    (see _higher_compatibility_sweep)."""
+    full = full_mask(n)
+    if axiom == "compatibility":
+        shapes, split = decompositions_exact(full, 2), _dec_split
+    elif model.connected:
+        shapes, split = compositions_of(full), _comp_split
+    else:
+        shapes, split = decompositions_of(full, model.max_blocks), _dec_split
+    return _higher_compatibility_sweep(model, n, shapes, split, natural)
+
+
 def check_higher_compatibility(model, n):
     """The higher-compatibility axiom over all pairs of compositions."""
-    return _higher_compatibility_sweep(model, compositions_of(full_mask(n)), _comp_split)
+    return _higher_compatibility_sweep(model, n, compositions_of(full_mask(n)), _comp_split,
+                                       not check_naturality(model, n))
 
 
 def _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
@@ -745,8 +857,8 @@ def check_higher_compatibility_dec(model, n):
     """Decomposition-indexed variant for non-connected models: F and G range
     over decompositions with at most `model.max_blocks` blocks, with the
     canonical row/column splittings of FG and GF."""
-    return _higher_compatibility_sweep(model, decompositions_of(full_mask(n), model.max_blocks),
-                                       _dec_split)
+    return _higher_compatibility_sweep(model, n, decompositions_of(full_mask(n), model.max_blocks),
+                                       _dec_split, not check_naturality(model, n))
 
 
 def check_axiom(model, axiom, n):
@@ -761,12 +873,8 @@ def check_axiom(model, axiom, n):
         return check_coassociativity(model, n)
     if axiom == "counitality":
         return check_counitality(model, n)
-    if axiom == "compatibility":
-        return check_compatibility(model, n)
-    if axiom == "higher-compatibility":
-        if model.connected:
-            return check_higher_compatibility(model, n)
-        return check_higher_compatibility_dec(model, n)
+    if axiom in ("compatibility", "higher-compatibility"):
+        return _compatibility_sweep(model, axiom, n, not check_naturality(model, n))
     if axiom == "commutativity":
         return check_commutativity(model, n)
     if axiom == "cocommutativity":
@@ -775,21 +883,27 @@ def check_axiom(model, axiom, n):
 
 
 def run_axiom_suite(model, nmax):
-    """All applicable axiom checks for degrees 0..nmax; one report per degree."""
+    """All applicable axiom checks for degrees 0..nmax; one report per degree.
+    Naturality is checked once per degree, and both compatibility sweeps
+    take its verdict."""
     reports = []
     for n in range(nmax + 1):
         rep = AxiomReport(model.name, n)
         if n == 0:
             rep.record("degree-zero", check_degree_zero(model))
-        axioms = ["naturality", "associativity", "unitality",
-                  "coassociativity", "counitality", "compatibility",
-                  "higher-compatibility"]
+        naturality = check_naturality(model, n)
+        rep.record("naturality", naturality)
+        axioms = ["associativity", "unitality", "coassociativity", "counitality",
+                  "compatibility", "higher-compatibility"]
         if model.commutative:
             axioms.append("commutativity")
         if model.cocommutative:
             axioms.append("cocommutativity")
         for axiom in axioms:
-            rep.record(axiom, check_axiom(model, axiom, n))
+            if axiom in ("compatibility", "higher-compatibility"):
+                rep.record(axiom, _compatibility_sweep(model, axiom, n, not naturality))
+            else:
+                rep.record(axiom, check_axiom(model, axiom, n))
         reports.append(rep)
     return reports
 

@@ -2,8 +2,9 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (215 tests) took about 10 minutes on a 2-core
-machine, most of it in criterion 1.
+The whole tier-1 suite (239 tests) took 175 s on a loaded 2-core machine, of
+which criterion 1 took 40 s: the compatibility sweeps check one instance per
+S_n-orbit once naturality is proved.
 """
 
 from fractions import Fraction

@@ -98,6 +98,13 @@ def test_cli_verify_not_hopf_advisory(capsys):
     assert payload["advisory"] == ["not-hopf"]
 
 
+def test_cli_verify_hadamard_of_non_connected_factors(capsys):
+    # the Hadamard unit is the pair of units, its counit the product of counits
+    for spec in ("had:SigmaHat:2,L", "had:SigmaHat:1,SigmaHat:1"):
+        assert main(["verify", spec, "2"]) == 0, spec
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_cli_budget_guard(capsys):
     assert main(["verify", "G", "5"]) == 2
     assert main(["verify", "SigmaHat:3", "4"]) == 2

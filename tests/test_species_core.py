@@ -21,9 +21,11 @@ from species_forge.species import (
     SpeciesModel,
     TensorElement,
     UnsupportedOperation,
+    _compatibility_sweep,
     check_associativity,
     check_axiom,
     check_compatibility,
+    check_higher_compatibility,
     check_naturality,
     delta_shape,
     delta_shape_key,
@@ -213,6 +215,15 @@ class OppositeAreaSigma(CompositionModel):
         return self.q ** area(key, T, S), (comp_restrict(key, S), comp_restrict(key, T))
 
 
+def test_corrupted_model_takes_the_full_sweep():
+    # not natural at n = 3, 4: both sweeps run over every shape and key
+    model = CorruptedModel()
+    for n, higher, two_block in ((3, 24, 12), (4, 184, 32)):
+        assert check_naturality(model, n)
+        assert len(check_higher_compatibility(model, n)) == higher
+        assert len(check_compatibility(model, n)) == two_block
+
+
 def test_compatibility_catches_an_opposite_braiding():
     # the monomial fast path of the two-block sweep
     reports = run_axiom_suite(OppositeAreaSigma(2), 3)
@@ -345,3 +356,54 @@ def test_naturality_catches_a_relabeling_that_is_not_an_action():
 def test_naturality_catches_a_label_dependent_product():
     bad = check_naturality(LabelDependentProduct(), 3)
     assert bad and {b[0] for b in bad} == {"product"}
+
+
+class ProductDoubledOnASubsplit(LinearOrderModel):
+    """Linear orders whose product doubles on the split ({0}, {2}) alone:
+    a square that no split of the full label set of a degree contains."""
+
+    def product_key(self, S, T, x, y):
+        c, k = super().product_key(S, T, x, y)
+        return (2 * c if (S, T) == (1, 4) else c), k
+
+
+def test_naturality_checks_splits_of_subsets():
+    model = ProductDoubledOnASubsplit()
+    assert check_naturality(model, 2) == []
+    for n in (3, 4):
+        bad = check_naturality(model, n)
+        assert bad and {b[0] for b in bad} == {"product"}
+
+
+# every model of this file, with the top degree of the oracle comparison
+ORACLE_MODELS = {
+    "E": (E, 4), "L": (L, 4), "Pi": (Pi, 4), "Sigma": (Sigma, 4),
+    "G": (build_model("G"), 4),
+    "Lq:2": (build_model("Lq:2"), 4), "Sigmaq:2": (build_model("Sigmaq:2"), 4),
+    "Lq:0": (build_model("Lq:0"), 4), "Sigmaq:0": (build_model("Sigmaq:0"), 4),
+    "dual:L": (dual_model(L), 4), "dual:Pi": (dual_model(Pi), 4),
+    "SigmaHat:3": (build_model("SigmaHat:3"), 3),
+    "dual:SigmaHat:2": (build_model("dual:SigmaHat:2"), 3),
+    "had:L,L": (hadamard(L, L), 3), "had:E,L": (hadamard(E, L), 3),
+    "had:Lq:2,Lq:3": (hadamard(build_model("Lq:2"), build_model("Lq:3")), 3),
+    "dual:had:L,Pi": (dual_model(hadamard(L, Pi)), 3),
+    "had:dual:L,dual:Pi": (hadamard(dual_model(L), dual_model(Pi)), 3),
+    "OppositeAreaSigma": (OppositeAreaSigma(2), 4),
+    "BrokenRelabelL": (BrokenRelabelL(), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_orbit_reduced_sweeps_match_the_full_sweeps(name):
+    # the full sweep (natural=False) is the oracle of the orbit-reduced one
+    model, nmax = ORACLE_MODELS[name]
+    for n in range(nmax + 1):
+        assert check_naturality(model, n) == []
+        for axiom in ("compatibility", "higher-compatibility"):
+            reduced = _compatibility_sweep(model, axiom, n, True)
+            assert reduced == _compatibility_sweep(model, axiom, n, False), (name, axiom, n)
+
+
+def test_opposite_braiding_higher_compatibility_counts():
+    model = OppositeAreaSigma(2)
+    assert [len(check_higher_compatibility(model, n)) for n in (2, 3, 4)] == [4, 240, 18628]
