@@ -15,6 +15,7 @@ interface; everything else (duals, Hadamard products) works through full
 LinCombs.  The checkers and antipode code pick the fast path when available.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -427,19 +428,6 @@ def orbit_count(model, n):
 # ---------------------------------------------------------------------------
 # axiom checks
 
-AXIOMS = (
-    "naturality",
-    "associativity",
-    "unitality",
-    "coassociativity",
-    "counitality",
-    "compatibility",
-    "higher-compatibility",
-    "commutativity",
-    "cocommutativity",
-)
-
-
 class AxiomReport:
     """Outcome of an axiom sweep; failures are data, not exceptions."""
 
@@ -464,6 +452,10 @@ class AxiomReport:
 
 def _pairs(full):
     return tuple((S, full ^ S) for S in submasks(full))
+
+
+def _triples(full):
+    return [(R, S, full ^ R ^ S) for R in submasks(full) for S in submasks(full ^ R)]
 
 
 def _transposition(n, i, j):
@@ -558,24 +550,7 @@ def check_naturality(model, n):
 
 
 def check_associativity(model, n):
-    full = full_mask(n)
-    bad = []
-    for R in submasks(full):
-        for S in submasks(full ^ R):
-            T = full ^ R ^ S
-            bR, bS, bT = model.basis_on(R), model.basis_on(S), model.basis_on(T)
-            for x in bR:
-                for y in bS:
-                    xy = model.product(R, S, x, y)
-                    for z in bT:
-                        lhs = lc_sum(model.product(R | S, T, k, z).scale(c)
-                                     for k, c in xy.terms.items())
-                        yz = model.product(S, T, y, z)
-                        rhs = lc_sum(model.product(R, S | T, x, k).scale(c)
-                                     for k, c in yz.terms.items())
-                        if lhs != rhs:
-                            bad.append((R, S, T, x, y, z))
-    return bad
+    return check_axiom(model, "associativity", n)
 
 
 def check_unitality(model, n):
@@ -591,25 +566,7 @@ def check_unitality(model, n):
 
 
 def check_coassociativity(model, n):
-    full = full_mask(n)
-    bad = []
-    for R in submasks(full):
-        for S in submasks(full ^ R):
-            T = full ^ R ^ S
-            for z in model.basis_on(full):
-                lhs = {}
-                for (a, bc), c in model.coproduct(R, S | T, z).terms.items():
-                    for (b, d), c2 in model.coproduct(S, T, bc).terms.items():
-                        k = (a, b, d)
-                        lhs[k] = lhs.get(k, ZERO) + c * c2
-                rhs = {}
-                for (ab, d), c in model.coproduct(R | S, T, z).terms.items():
-                    for (a, b), c2 in model.coproduct(R, S, ab).terms.items():
-                        k = (a, b, d)
-                        rhs[k] = rhs.get(k, ZERO) + c * c2
-                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                    bad.append((R, S, T, z))
-    return bad
+    return check_axiom(model, "coassociativity", n)
 
 
 def check_counitality(model, n):
@@ -632,7 +589,7 @@ def check_compatibility(model, n):
     higher compatibility on the two-block decompositions.  For F = (S1, S2)
     and G = (T1, T2) the splitting of FG is (A, B | C, D) with A = S1 & T1,
     and the braiding is q^dist((A, B, C, D), (A, C, B, D)) = q^(|B||C|)."""
-    return _compatibility_sweep(model, "compatibility", n, not check_naturality(model, n))
+    return check_axiom(model, "compatibility", n)
 
 
 def check_degree_zero(model):
@@ -653,30 +610,11 @@ def check_degree_zero(model):
 
 
 def check_commutativity(model, n):
-    full = full_mask(n)
-    q = model.q
-    bad = []
-    for S, T in _pairs(full):
-        f = q ** (popcount(S) * popcount(T))
-        for x in model.basis_on(S):
-            for y in model.basis_on(T):
-                if model.product(S, T, x, y) != model.product(T, S, y, x).scale(f):
-                    bad.append((S, T, x, y))
-    return bad
+    return check_axiom(model, "commutativity", n)
 
 
 def check_cocommutativity(model, n):
-    full = full_mask(n)
-    q = model.q
-    bad = []
-    for S, T in _pairs(full):
-        f = q ** (popcount(S) * popcount(T))
-        for z in model.basis_on(full):
-            swapped = LinComb.wrap({(b, a): c * f
-                                    for (a, b), c in model.coproduct(S, T, z).terms.items()})
-            if swapped != model.coproduct(T, S, z):
-                bad.append((S, T, z))
-    return bad
+    return check_axiom(model, "cocommutativity", n)
 
 
 def _shape_slices(shapes):
@@ -711,37 +649,34 @@ def _is_interval_shape(F):
     return True
 
 
-def _higher_compatibility_sweep(model, n, shapes, split, natural):
-    """For every pair F, G of `shapes`: coproduct along G after product along
-    F equals product along the G-side splitting of GF, after the braiding,
-    after coproduct along the F-side splitting of FG.  `split(F, G)` returns
-    those splittings and the block permutation taking FG to GF.
+def _sweep(model, n, shapes, natural, check):
+    """Counterexamples of an axiom whose instances are indexed by a shape F
+    of `shapes` and a key tuple x in the tensor basis over F: check(F, keys)
+    yields the failures of F for every x in keys, and for whatever else the
+    axiom ranges over (the shapes G of the bimonoid square, the triples or
+    pairs of the single-shape axioms), in the order of the full sweep.
 
-    When the model is natural at degree n, one instance (F, G, x) per
-    S_n-orbit decides them all.  The proof: check_naturality gives
+    When the model is natural at degree n, one x per orbit of the stabilizer
+    of each F decides them all.  The proof: check_naturality gives
     naturality of product and coproduct on every split of every subset of
-    [n], for all of S_n.  So for every p in S_n, mu_{pF}(p x) = p mu_F(x)
-    and delta_{pG}(p y) = p delta_G(y).  p sends the splittings of FG and GF
-    to those of pF pG and pG pF, keeps the block permutation (it depends
-    only on which intersections are empty) and keeps the braiding exponent
-    dist (it depends only on the sizes of the intersections).  So both
-    sides at (pF, pG, p x) are p applied to both sides at (F, G, x), and
-    relabeling by p is invertible: (F, G, x) fails iff (pF, pG, p x) does.
-
-    The sweep then takes F among the shapes whose blocks are consecutive
-    intervals: every shape is p F for one of them.  The stabilizer of such
-    an F is the product of the permutation groups of its blocks, and by the
-    locality part of check_relabel_action it acts on x blockwise.  So x
-    ranges over products of per-block orbit representatives
-    (orbit_representatives), while G ranges over all shapes.
+    [n], for all of S_n, and so of the iterated maps along every shape.  So
+    for every p in S_n, the two sides of the image of an instance under p
+    are p applied to its two sides, and relabeling is invertible: an
+    instance fails iff its image under p does.  p also sends what a check
+    ranges over for F (all shapes G, all triples or pairs) onto what it
+    ranges over for pF.  So F ranges over the shapes whose blocks are
+    consecutive intervals: every shape is pF for one of them.  The
+    stabilizer of such an F is the product of the permutation groups of its
+    blocks, and by the locality part of check_relabel_action it acts on x
+    blockwise, so x ranges over products of per-block orbit representatives
+    (orbit_representatives).  A single-shape axiom, F = ([n],), reduces to
+    one key per S_n-orbit of basis(n).
 
     `natural` is the verdict check_naturality(model, n) == [].  When it is
     false, or when a representative fails, every F and every x is checked,
     so the counterexamples are always those of the full sweep, in its
     order."""
     bad = []
-    q = model.q
-    fast = model.monomial
     reps = {}  # block -> orbit_representatives on it
     for F in shapes:
         if natural:
@@ -750,50 +685,123 @@ def _higher_compatibility_sweep(model, n, shapes, split, natural):
             for b in F:
                 if b not in reps:
                     reps[b] = orbit_representatives(model, b, n)
-            tb = tuple(itertools.product(*[reps[b] for b in F]))
+            keys = tuple(itertools.product(*[reps[b] for b in F]))
         else:
-            tb = tensor_basis(model, F)
-        lhs_in = [mu_shape_key(model, F, x) if fast else mu_shape(model, F, LinComb.term(x))
-                  for x in tb]
-        for G in shapes:
-            delta_shapes, mu_shapes, perm = split(F, G)
-            FG = sum(delta_shapes, ())
-            braid = q ** dist(FG, sum(mu_shapes, ())) if q != 1 else ONE
-            slices = _shape_slices(mu_shapes)
-            for x, lhs_val in zip(tb, lhs_in):
-                if fast:
-                    c0, ykey = lhs_val
-                    lhs_img = delta_shape_key(model, G, ykey, c0)
-                    lhs = {lhs_img[1]: lhs_img[0]} if lhs_img else {}
-                    rhs = _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
-                else:
-                    lhs = delta_shape(model, G, lhs_val).terms
-                    rhs = _rhs_generic(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
-                if lhs != rhs:
-                    if natural:
-                        return _higher_compatibility_sweep(model, n, shapes, split, False)
-                    bad.append((F, G, x))
+            keys = tensor_basis(model, F)
+        for failure in check(F, keys):
+            if natural:
+                return _sweep(model, n, shapes, False, check)
+            bad.append(failure)
     return bad
 
 
-def _compatibility_sweep(model, axiom, n, natural):
-    """The "compatibility" or "higher-compatibility" sweep of check_axiom at
-    degree n, given the verdict natural = check_naturality(model, n) == []
-    (see _higher_compatibility_sweep)."""
+def _associativity(model, F, keys):
+    R, S, T = F
+    for x, y, z in keys:
+        lhs = lc_sum(model.product(R | S, T, k, z).scale(c)
+                     for k, c in model.product(R, S, x, y).terms.items())
+        rhs = lc_sum(model.product(R, S | T, x, k).scale(c)
+                     for k, c in model.product(S, T, y, z).terms.items())
+        if lhs != rhs:
+            yield R, S, T, x, y, z
+
+
+def _coassociativity(model, triples, F, keys):
+    for R, S, T in triples:
+        for (z,) in keys:
+            lhs = {}
+            for (a, bc), c in model.coproduct(R, S | T, z).terms.items():
+                for (b, d), c2 in model.coproduct(S, T, bc).terms.items():
+                    k = (a, b, d)
+                    lhs[k] = lhs.get(k, ZERO) + c * c2
+            rhs = {}
+            for (ab, d), c in model.coproduct(R | S, T, z).terms.items():
+                for (a, b), c2 in model.coproduct(R, S, ab).terms.items():
+                    k = (a, b, d)
+                    rhs[k] = rhs.get(k, ZERO) + c * c2
+            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                yield R, S, T, z
+
+
+def _commutativity(model, F, keys):
+    S, T = F
+    f = model.q ** (popcount(S) * popcount(T))
+    for x, y in keys:
+        if model.product(S, T, x, y) != model.product(T, S, y, x).scale(f):
+            yield S, T, x, y
+
+
+def _cocommutativity(model, pairs, F, keys):
+    for S, T in pairs:
+        f = model.q ** (popcount(S) * popcount(T))
+        for (z,) in keys:
+            swapped = LinComb.wrap({(b, a): c * f
+                                    for (a, b), c in model.coproduct(S, T, z).terms.items()})
+            if swapped != model.coproduct(T, S, z):
+                yield S, T, z
+
+
+def _compatibility(model, shapes, split, F, keys):
+    """For every G of `shapes`: coproduct along G after product along F
+    equals product along the G-side splitting of GF, after the braiding,
+    after coproduct along the F-side splitting of FG.  `split(F, G)` returns
+    those splittings and the block permutation taking FG to GF.  Relabeling
+    by p keeps the block permutation (it depends only on which intersections
+    are empty) and the braiding exponent dist (it depends only on the sizes
+    of the intersections), as _sweep needs."""
+    q = model.q
+    fast = model.monomial
+    lhs_in = [mu_shape_key(model, F, x) if fast else mu_shape(model, F, LinComb.term(x))
+              for x in keys]
+    for G in shapes:
+        delta_shapes, mu_shapes, perm = split(F, G)
+        FG = sum(delta_shapes, ())
+        braid = q ** dist(FG, sum(mu_shapes, ())) if q != 1 else ONE
+        slices = _shape_slices(mu_shapes)
+        for x, lhs_val in zip(keys, lhs_in):
+            if fast:
+                c0, ykey = lhs_val
+                lhs_img = delta_shape_key(model, G, ykey, c0)
+                lhs = {lhs_img[1]: lhs_img[0]} if lhs_img else {}
+                rhs = _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
+            else:
+                lhs = delta_shape(model, G, lhs_val).terms
+                rhs = _rhs_generic(model, x, delta_shapes, perm, braid, mu_shapes, slices, len(FG))
+            if lhs != rhs:
+                yield F, G, x
+
+
+def _axiom_sweep(model, axiom, n, natural):
+    """Counterexamples of one of the six S_n-equivariant axioms at degree n,
+    given the verdict natural = check_naturality(model, n) == []: the
+    axiom's shapes and its check of one shape, run by _sweep."""
     full = full_mask(n)
+    if axiom == "associativity":
+        return _sweep(model, n, _triples(full), natural, functools.partial(_associativity, model))
+    if axiom == "coassociativity":
+        check = functools.partial(_coassociativity, model, _triples(full))
+        return _sweep(model, n, [(full,)], natural, check)
+    if axiom == "commutativity":
+        return _sweep(model, n, _pairs(full), natural, functools.partial(_commutativity, model))
+    if axiom == "cocommutativity":
+        check = functools.partial(_cocommutativity, model, _pairs(full))
+        return _sweep(model, n, [(full,)], natural, check)
     if axiom == "compatibility":
         shapes, split = decompositions_exact(full, 2), _dec_split
+    elif axiom != "higher-compatibility":
+        raise ValueError(f"unknown axiom {axiom!r}")
     elif model.connected:
         shapes, split = compositions_of(full), _comp_split
     else:
         shapes, split = decompositions_of(full, model.max_blocks), _dec_split
-    return _higher_compatibility_sweep(model, n, shapes, split, natural)
+    return _sweep(model, n, shapes, natural, functools.partial(_compatibility, model, shapes, split))
 
 
 def check_higher_compatibility(model, n):
     """The higher-compatibility axiom over all pairs of compositions."""
-    return _higher_compatibility_sweep(model, n, compositions_of(full_mask(n)), _comp_split,
-                                       not check_naturality(model, n))
+    shapes = compositions_of(full_mask(n))
+    return _sweep(model, n, shapes, not check_naturality(model, n),
+                  functools.partial(_compatibility, model, shapes, _comp_split))
 
 
 def _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
@@ -857,35 +865,26 @@ def check_higher_compatibility_dec(model, n):
     """Decomposition-indexed variant for non-connected models: F and G range
     over decompositions with at most `model.max_blocks` blocks, with the
     canonical row/column splittings of FG and GF."""
-    return _higher_compatibility_sweep(model, n, decompositions_of(full_mask(n), model.max_blocks),
-                                       _dec_split, not check_naturality(model, n))
+    shapes = decompositions_of(full_mask(n), model.max_blocks)
+    return _sweep(model, n, shapes, not check_naturality(model, n),
+                  functools.partial(_compatibility, model, shapes, _dec_split))
 
 
 def check_axiom(model, axiom, n):
     """Run a single named axiom check at degree n; returns counterexamples."""
     if axiom == "naturality":
         return check_naturality(model, n)
-    if axiom == "associativity":
-        return check_associativity(model, n)
     if axiom == "unitality":
         return check_unitality(model, n)
-    if axiom == "coassociativity":
-        return check_coassociativity(model, n)
     if axiom == "counitality":
         return check_counitality(model, n)
-    if axiom in ("compatibility", "higher-compatibility"):
-        return _compatibility_sweep(model, axiom, n, not check_naturality(model, n))
-    if axiom == "commutativity":
-        return check_commutativity(model, n)
-    if axiom == "cocommutativity":
-        return check_cocommutativity(model, n)
-    raise ValueError(f"unknown axiom {axiom!r}")
+    return _axiom_sweep(model, axiom, n, not check_naturality(model, n))
 
 
 def run_axiom_suite(model, nmax):
     """All applicable axiom checks for degrees 0..nmax; one report per degree.
-    Naturality is checked once per degree, and both compatibility sweeps
-    take its verdict."""
+    Naturality is checked once per degree, and every swept axiom takes its
+    verdict."""
     reports = []
     for n in range(nmax + 1):
         rep = AxiomReport(model.name, n)
@@ -900,10 +899,10 @@ def run_axiom_suite(model, nmax):
         if model.cocommutative:
             axioms.append("cocommutativity")
         for axiom in axioms:
-            if axiom in ("compatibility", "higher-compatibility"):
-                rep.record(axiom, _compatibility_sweep(model, axiom, n, not naturality))
-            else:
+            if axiom in ("unitality", "counitality"):
                 rep.record(axiom, check_axiom(model, axiom, n))
+            else:
+                rep.record(axiom, _axiom_sweep(model, axiom, n, not naturality))
         reports.append(rep)
     return reports
 
