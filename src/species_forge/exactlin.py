@@ -3,12 +3,17 @@
 Scalars are `fractions.Fraction` (always reduced, positive denominator).
 A LinComb is a sparse map from hashable basis keys to nonzero coefficients;
 a LinMap stores its columns as LinCombs over an explicit ordered codomain
-basis.  Elimination is plain fraction arithmetic with deterministic pivoting
-(first nonzero entry, ties broken by basis order), so kernels and inverses
-are reproducible.
+basis.  Rank, kernels and inverses come from sparse fraction-free
+elimination: each matrix row is a dict over its nonzero columns, cleared of
+denominators and reduced to echelon form in integers, every row kept
+primitive (divided by the gcd of its entries).  Only kernels and inverses
+back-substitute, and only their final rows become Fractions.  The reduced
+row echelon form of a matrix is unique, so kernels and inverses do not
+depend on the order in which rows are eliminated.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Rational", "rational_str", "rational_from_str",
@@ -228,10 +233,10 @@ class LinMap:
         return LinMap(other.domain, self.codomain,
                       {k: self(other.cols[k]) for k in other.domain})
 
-    def matrix(self):
-        """Row-major entries, rows indexed by codomain, columns by domain."""
+    def _rows(self):
+        """Sparse rows {domain index: coefficient}, one per codomain key."""
         index = {k: i for i, k in enumerate(self.codomain)}
-        rows = [[ZERO] * len(self.domain) for _ in self.codomain]
+        rows = [{} for _ in self.codomain]
         for j, k in enumerate(self.domain):
             for key, v in self.cols[k].terms.items():
                 rows[index[key]][j] = v
@@ -246,78 +251,100 @@ class LinMap:
                       {k: LinComb.wrap(d) for k, d in cols.items()})
 
     def rank(self):
-        return len(_rref(self.matrix())[1])
+        return len(_rref(self._rows(), len(self.domain))[1])
 
     def kernel_basis(self):
         """Reduced-echelon basis of the kernel, as LinCombs over the domain."""
-        rows, pivots = _rref(self.matrix())
-        ncols = len(self.domain)
-        pivot_cols = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_cols]
-        out = []
-        for j in free:
-            vec = {self.domain[j]: ONE}
-            for r, pc in enumerate(pivots):
-                v = rows[r][j]
-                if v:
-                    vec[self.domain[pc]] = -v
-            out.append(LinComb.wrap(vec))
-        return out
+        n = len(self.domain)
+        rows, pivots = _rref(self._rows(), n)
+        free = set(range(n)).difference(pivots)
+        vecs = {j: {self.domain[j]: ONE} for j in sorted(free)}
+        for c, row in zip(pivots, _back_substitute(rows, pivots)):
+            for j, v in row.items():
+                if j != c:
+                    vecs[j][self.domain[c]] = -v
+        return [LinComb.wrap(vec) for vec in vecs.values()]
 
     def invert(self):
         n = len(self.domain)
         if len(self.codomain) != n:
             raise SingularMapError(self.rank())
-        rows = self.matrix()
-        aug = [rows[i] + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        reduced, pivots = _rref(aug, limit=n)
+        rows = self._rows()
+        for i, row in enumerate(rows):
+            row[n + i] = ONE
+        rows, pivots = _rref(rows, n)
         if len(pivots) < n:
             raise SingularMapError(len(pivots))
-        cols = {}
-        for j, k in enumerate(self.codomain):
-            vec = {}
-            for i in range(n):
-                v = reduced[i][n + j]
-                if v:
-                    vec[self.domain[i]] = v
-            cols[k] = LinComb.wrap(vec)
-        return LinMap(self.codomain, self.domain, cols)
+        cols = {k: {} for k in self.codomain}
+        for k, row in zip(self.domain, _back_substitute(rows, pivots)):
+            for j, v in row.items():
+                if j >= n:
+                    cols[self.codomain[j - n]][k] = v
+        return LinMap(self.codomain, self.domain,
+                      {k: LinComb.wrap(d) for k, d in cols.items()})
 
     def __repr__(self):
         return f"LinMap({len(self.codomain)}x{len(self.domain)})"
 
 
-def _rref(rows, limit=None):
-    """Reduced row echelon form in place; returns (rows, pivot column list).
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
-    Pivots take the first row with a nonzero entry in the current column,
-    scanning columns left to right (deterministic by construction).
+
+def _eliminate(row, p, c):
+    """a*row - b*p, made primitive, for the coprime integers a, b that
+    clear column c (mutates `row` when a is 1)."""
+    g = gcd(p[c], row[c])
+    a, b = p[c] // g, row[c] // g
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in p.items():
+        w = row.get(k, 0) - b * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return _primitive(row)
+
+
+def _rref(rows, limit):
+    """Row echelon form of sparse rows over the columns below `limit`.
+
+    Each row is a dict {column: Fraction}.  It is scaled to a primitive
+    integer row, then reduced against the pivot rows found so far until its
+    leading column is new (it becomes that column's pivot row) or lies at
+    or beyond `limit` (it is dropped).  Returns the pivot rows and their
+    leading columns, in ascending column order.  These are the pivot
+    columns of the reduced row echelon form, which is unique, so they do
+    not depend on the order of the rows.
     """
-    if not rows:
-        return rows, []
-    nrows = len(rows)
-    ncols = len(rows[0]) if limit is None else limit
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+    pivot_rows = {}
+    for row in rows:
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [v / pv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        den = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
+        while row and (c := min(row)) < limit:
+            if c not in pivot_rows:
+                pivot_rows[c] = row
+                break
+            row = _eliminate(row, pivot_rows[c], c)
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
+
+
+def _back_substitute(rows, pivots):
+    """The reduced row echelon form of the echelon rows from `_rref`.
+
+    Bottom row first, each row loses its entries in the later pivot
+    columns, in integers; only the finished rows are divided by their
+    leading entries into Fractions.
+    """
+    done = {}
+    for c, row in zip(reversed(pivots), reversed(rows)):
+        for k in [k for k in row if k != c and k in done]:
+            row = _eliminate(row, done[k], k)
+        done[c] = row
+    return [{k: Fraction(v, done[c][c]) for k, v in done[c].items()} for c in pivots]

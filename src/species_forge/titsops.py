@@ -262,8 +262,6 @@ def primitive_part(model, n):
     basis = model.basis(n)
     if n == 0:
         return []
-    rows = []
-    codomain = []
     cols = {k: {} for k in basis}
     for S, T in proper_pairs(n):
         for k in basis:

@@ -2,9 +2,10 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (242 tests) took 134 s on a 2-core machine, of which
-criterion 1 took 17 s (24 s run alone): every S_n-equivariant axiom checks
-one instance per orbit once naturality is proved.
+The whole tier-1 suite (254 tests) took 139 s on a 2-core machine, of which
+criterion 1 took 25 s: every S_n-equivariant axiom checks one instance per
+orbit once naturality is proved.  Criterion 6 took 8 s, most of it building
+the Sigma degree-5 characteristic operation; its rank takes about 1 s.
 """
 
 from fractions import Fraction
@@ -52,6 +53,7 @@ from species_forge.titsops import (
     operator_conv_power,
     operator_log_identity,
     pbw_check,
+    primitive_dimension_ranks,
     primitive_part,
     psi_map,
     tits_multiply,
@@ -228,6 +230,20 @@ def test_criterion_6_primitives_and_cumulants():
         assert len(primitive_part(G, n)) == want
         assert psi_map(G, euler_first(n)).rank() == want
         assert cumulant(G, n) == want
+    # P(Sigma) = Lie o E_+: dim P(Sigma)[n] = sum_k S(n, k) (k-1)!, with the
+    # Stirling numbers of the second kind from their recurrence
+    Sigma = build_model("Sigma")
+    stirling = {(0, 0): 1}
+    for n in range(1, 5 + 1):
+        for k in range(1, n + 1):
+            stirling[n, k] = (k * stirling.get((n - 1, k), 0)
+                              + stirling.get((n - 1, k - 1), 0))
+    wants = [sum(stirling[n, k] * fact[k - 1] for k in range(1, n + 1))
+             for n in range(1, 5 + 1)]
+    assert wants == [1, 2, 6, 26, 150]
+    for n, want in zip(range(1, 5 + 1), wants):
+        assert primitive_dimension_ranks(Sigma, n) == {
+            "kernel": want, "euler_rank": want, "cumulant": want}
     _report(6, "primitives and cumulants")
 
 

@@ -278,7 +278,7 @@ def test_cumulants():
     assert [cumulant(L, n) for n in (1, 2, 3, 4)] == [1, 1, 2, 6]
     assert cumulant(G, 3) == 4
     assert cumulant(G, 4) == 38
-    assert cumulant_partition(L, ((3, 4))) or True
+    assert cumulant_partition(L, (7, 56)) == 2 * 2  # two 3-blocks
     assert cumulant_partition(L, (3, 4)) == 1 * 1
     assert cumulant_partition(L, (7, 8)) == 2
 
