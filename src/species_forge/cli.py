@@ -173,9 +173,15 @@ def _write(text):
         os.close(devnull)
 
 
-def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+def _emit(payload, args, table=None):
+    """Write the command's output: under --format table the text that
+    table() builds, else the JSON payload; to the file named by --out, else
+    to stdout."""
+    if getattr(args, "format", "json") == "table":
+        text = table()
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -203,12 +209,9 @@ def cmd_verify(args):
     }
     if not model.connected:
         payload["advisory"] = ["not-hopf"]
-    if args.format == "table":
-        _write("\n".join(
-            f"{name} n={r.degree}: {'pass' if r.ok() else 'FAIL'} " +
-            " ".join(f"{a}={c}" for a, c in sorted(r.counts().items())) for r in reports))
-    else:
-        _emit(payload, args)
+    _emit(payload, args, lambda: "\n".join(
+        f"{name} n={r.degree}: {'pass' if r.ok() else 'FAIL'} " +
+        " ".join(f"{a}={c}" for a, c in sorted(r.counts().items())) for r in reports))
     return EXIT_PASS if payload["pass"] else EXIT_FAIL
 
 
@@ -252,11 +255,8 @@ def cmd_antipode(args):
                                   "convolution_identity": conv_ok}
         if not (agree and conv_ok):
             status = EXIT_FAIL
-    if args.format == "table":
-        _write("\n".join(f"{enc(k) or '()'}: {lincomb_text(table(k), enc)}"
-                          for k in table.domain))
-    else:
-        _emit(payload, args)
+    _emit(payload, args, lambda: "\n".join(f"{enc(k) or '()'}: {lincomb_text(table(k), enc)}"
+                                            for k in table.domain))
     return status
 
 
@@ -333,6 +333,9 @@ def cmd_series(args):
     nmax = args.nmax
     payload = {"schema": SCHEMA, "command": "series", "op": op, "nmax": nmax}
     ok = True
+    sigma_only = op in ("log-uni", "power-laws")
+    if sigma_only and (args.q is not None or args.model not in (None, "Sigma")):
+        raise UsageError(f"series {op} runs on Sigma only; it takes no --q and no other --model")
     if op == "log-uni":
         _check_budget("Sigma", nmax)
         model = build_model("Sigma")
@@ -373,6 +376,7 @@ def cmd_dump(args):
     n = args.n
     _check_budget(name, n)
     enc = key_encoder(model, n)
+    unit = lincomb_json(model.unit(), enc)  # one key with coefficient 1 prints as that key
     full = full_mask(n)
     product = []
     coproduct = []
@@ -401,7 +405,7 @@ def cmd_dump(args):
         "command": "dump",
         "model": name,
         "n": n,
-        "unit": enc(model.unit_key()),
+        "unit": next(iter(unit)) if list(unit.values()) == ["1"] else unit,
         "counit": {enc(k): rational_str(model.counit(k)) for k in model.basis_on(0)},
         "product": product,
         "coproduct": coproduct,
@@ -426,16 +430,17 @@ def make_parser():
             p.add_argument("--model", dest="model_flag", default=None)
             p.add_argument("--q", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("verify", help="run the axiom suite")
     common(p)
+    p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("nmax", nargs="?", type=int, default=None)
     p.add_argument("--nmax", dest="nmax_flag", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("antipode", help="antipode tables")
     common(p)
+    p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("n", nargs="?", type=int, default=None)
     p.add_argument("basis", nargs="?", choices=("H", "Q"), default=None)
     p.add_argument("method", nargs="?", choices=METHODS, default=None)

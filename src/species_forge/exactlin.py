@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 __all__ = [
     "Rational", "rational_str", "rational_from_str",
-    "LinComb", "LinMap", "SingularMapError",
+    "LinComb", "LinMap", "SingularMapError", "tensor",
 ]
 
 Rational = Fraction
@@ -170,6 +170,18 @@ def lc_sum(items):
                 out[k] = w
             else:
                 del out[k]
+    return LinComb.wrap(out)
+
+
+def tensor(*lcs):
+    """Outer product: a LinComb over key tuples, one key per factor, each
+    with the product of its factors' coefficients.  tensor() is the empty
+    tuple with coefficient 1."""
+    if not lcs:
+        return LinComb.term(())
+    out = {(k,): v for k, v in lcs[0].terms.items()}
+    for lc in lcs[1:]:
+        out = {keys + (k,): c * v for keys, c in out.items() for k, v in lc.terms.items()}
     return LinComb.wrap(out)
 
 

@@ -222,8 +222,8 @@ class DecompositionModel(SpeciesModel):
     def relabel(self, perm, key):
         return comp_permute(key, perm)
 
-    def unit_key(self):
-        return ()
+    def unit(self):
+        return LinComb.term(())
 
     def counit(self, key):
         if any(key):

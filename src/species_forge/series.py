@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .exactlin import LinComb
+from .exactlin import LinComb, tensor
 from .kernels import popcount
 from .setcomb import compositions_of, full_mask, mask_labels, submasks
 from .species import (
@@ -20,6 +20,7 @@ from .species import (
     adjacent_transpositions,
     check_relabel_action,
     delta_shape,
+    mu_shape,
 )
 from .titsops import (
     TitsElement,
@@ -27,13 +28,10 @@ from .titsops import (
     euler_first,
     h_power,
     is_primitive,
-    mu_pair,
-    product_along,
     psi_map,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Series:
@@ -88,8 +86,7 @@ class Series:
 
 
 def unit_series(model, nmax):
-    comps = {0: LinComb.term(model.unit_key())}
-    return Series(model, nmax, comps)
+    return Series(model, nmax, {0: model.unit()})
 
 
 def cauchy(s, t):
@@ -102,13 +99,7 @@ def cauchy(s, t):
         total = LinComb()
         for S in submasks(full):
             T = full ^ S
-            xs = s.component_on(S)
-            if not xs:
-                continue
-            ys = t.component_on(T)
-            if not ys:
-                continue
-            total = total + mu_pair(model, S, T, xs, ys)
+            total = total + mu_shape(model, (S, T), tensor(s.component_on(S), t.component_on(T)))
         out[n] = total
     return Series(model, s.nmax, out)
 
@@ -132,7 +123,7 @@ def functional_calculus(coeffs, s):
         raise ValueError("functional calculus needs a series with zero constant term")
     a = coeffs if callable(coeffs) else (lambda k: coeffs[k] if k < len(coeffs) else ZERO)
     model = s.model
-    out = {0: LinComb.term(model.unit_key(), a(0))}
+    out = {0: model.unit().scale(a(0))}
     for n in range(1, s.nmax + 1):
         total = LinComb()
         for F in compositions_of(full_mask(n)):
@@ -140,9 +131,8 @@ def functional_calculus(coeffs, s):
             if not c:
                 continue
             factors = [s.component_on(b) for b in F]
-            if any(not f for f in factors):
-                continue
-            total = total + product_along(model, F, factors).scale(c)
+            if all(factors):
+                total = total + mu_shape(model, F, tensor(*factors)).scale(c)
         out[n] = total
     return Series(model, s.nmax, out)
 
@@ -176,33 +166,28 @@ def power_series(t, c):
 
 def is_exponential(s):
     model = s.model
-    if s.comps[0] != LinComb.term(model.unit_key()):
+    if s.comps[0] != model.unit():
         return False
     for n in range(s.nmax + 1):
         full = full_mask(n)
-        sn = s.comps[n]
         for S in submasks(full):
             T = full ^ S
-            if mu_pair(model, S, T, s.component_on(S), s.component_on(T)) != sn:
+            pair = tensor(s.component_on(S), s.component_on(T))
+            if mu_shape(model, (S, T), pair) != s.comps[n]:
                 return False
     return True
 
 
 def is_group_like(s):
     model = s.model
-    e = sum((c * model.counit(k) for k, c in s.comps[0].terms.items()), ZERO)
-    if e != 1:
+    if delta_shape(model, (), s.comps[0]) != tensor():
         return False
     for n in range(s.nmax + 1):
         full = full_mask(n)
         for S in submasks(full):
             T = full ^ S
-            lhs = delta_shape(model, (S, T), s.comps[n])
-            xs = s.component_on(S)
-            ys = s.component_on(T)
-            rhs = {(a, b): ca * cb for a, ca in xs.terms.items()
-                   for b, cb in ys.terms.items()}
-            if lhs.terms != rhs:
+            pair = tensor(s.component_on(S), s.component_on(T))
+            if delta_shape(model, (S, T), s.comps[n]) != pair:
                 return False
     return True
 
@@ -217,32 +202,15 @@ def is_gh_primitive(x, g, h):
     x._match(g)
     x._match(h)
     model = x.model
-    e = sum((c * model.counit(k) for k, c in x.comps[0].terms.items()), ZERO)
-    if e != 0:
+    if delta_shape(model, (), x.comps[0]):
         return False
     for n in range(x.nmax + 1):
         full = full_mask(n)
         for S in submasks(full):
             T = full ^ S
-            lhs = delta_shape(model, (S, T), x.comps[n]).terms
-            rhs = {}
-            for a, ca in g.component_on(S).terms.items():
-                for b, cb in x.component_on(T).terms.items():
-                    k = (a, b)
-                    w = rhs.get(k, ZERO) + ca * cb
-                    if w:
-                        rhs[k] = w
-                    else:
-                        del rhs[k]
-            for a, ca in x.component_on(S).terms.items():
-                for b, cb in h.component_on(T).terms.items():
-                    k = (a, b)
-                    w = rhs.get(k, ZERO) + ca * cb
-                    if w:
-                        rhs[k] = w
-                    else:
-                        del rhs[k]
-            if lhs != rhs:
+            rhs = (tensor(g.component_on(S), x.component_on(T))
+                   + tensor(x.component_on(S), h.component_on(T)))
+            if delta_shape(model, (S, T), x.comps[n]) != rhs:
                 return False
     return True
 

@@ -19,7 +19,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .exactlin import LinComb, LinMap, lc_sum
+from .exactlin import LinComb, LinMap, lc_sum, tensor
 from .kernels import comp_restrict, dist, mask_permute, popcount, tits_perm
 from .setcomb import (
     compositions_of,
@@ -66,12 +66,15 @@ class SpeciesModel:
     def dim(self, n):
         return len(self.basis(n))
 
-    def unit_key(self):
-        return self.basis_on(0)[0]
+    def unit(self):
+        """The unit, a LinComb on the degree-0 keys: the product along the
+        empty decomposition.  A connected model has one degree-0 key."""
+        return LinComb.term(self.basis_on(0)[0])
 
     def counit(self, key):
-        """Counit on degree-0 keys; connected models have a single key."""
-        return ONE if key == self.unit_key() else ZERO
+        """Counit on degree-0 keys: the coproduct along the empty
+        decomposition.  On a connected model it is the unit transposed."""
+        return self.unit()[key]
 
     # -- structure maps ----------------------------------------------------
 
@@ -142,8 +145,7 @@ def tensor_basis(model, shape):
 def mu_shape(model, shape, tlc):
     """Iterated product along `shape` applied to a LinComb over key tuples."""
     if not shape:
-        c = tlc.terms.get((), ZERO)
-        return LinComb.term(model.unit_key(), c) if c else LinComb()
+        return model.unit().scale(tlc[()])
     out = {}
     for keys, c0 in tlc.terms.items():
         cur = {keys[0]: c0}
@@ -171,8 +173,7 @@ def mu_shape(model, shape, tlc):
 def delta_shape(model, shape, lc):
     """Iterated coproduct along `shape`; result is a LinComb over key tuples."""
     if not shape:
-        c = sum((v * model.counit(k) for k, v in lc.terms.items()), ZERO)
-        return LinComb.term((), c) if c else LinComb()
+        return LinComb.term((), sum((v * model.counit(k) for k, v in lc.terms.items()), ZERO))
     rest = 0
     for b in shape:
         rest |= b
@@ -193,9 +194,11 @@ def delta_shape(model, shape, lc):
 
 
 def mu_shape_key(model, shape, keys, coef=ONE):
-    """Monomial fast path for mu_shape: returns (coef, key) or None."""
+    """Monomial fast path for mu_shape: returns (coef, key).  The unit of a
+    monomial model is one key."""
     if not shape:
-        return coef, model.unit_key()
+        [(key, c)] = model.unit().terms.items()
+        return coef * c, key
     kacc = keys[0]
     mask = shape[0]
     for i in range(1, len(shape)):
@@ -272,12 +275,13 @@ class DualModel(SpeciesModel):
     def relabel(self, perm, key):
         return self.primal.relabel(perm, key)
 
-    def unit_key(self):
-        return self.primal.unit_key()
+    def unit(self):
+        """The primal counit transposed: the sum of counit(k) k*."""
+        return LinComb({k: self.primal.counit(k) for k in self.primal.basis_on(0)})
 
     def counit(self, key):
-        # pairing against the primal unit
-        return ONE if key == self.primal.unit_key() else ZERO
+        """The primal unit transposed."""
+        return self.primal.unit()[key]
 
     def product(self, S, T, x, y):
         table = self._prod_tables.get((S, T))
@@ -324,8 +328,8 @@ class HadamardModel(SpeciesModel):
     def relabel(self, perm, key):
         return (self.left.relabel(perm, key[0]), self.right.relabel(perm, key[1]))
 
-    def unit_key(self):
-        return (self.left.unit_key(), self.right.unit_key())
+    def unit(self):
+        return tensor(self.left.unit(), self.right.unit())
 
     def counit(self, key):
         return self.left.counit(key[0]) * self.right.counit(key[1])
@@ -349,21 +353,15 @@ class HadamardModel(SpeciesModel):
     def product(self, S, T, x, y):
         if self.monomial:
             return SpeciesModel.product(self, S, T, x, y)
-        out = {}
-        for k1, c1 in self.left.product(S, T, x[0], y[0]).terms.items():
-            for k2, c2 in self.right.product(S, T, x[1], y[1]).terms.items():
-                out[(k1, k2)] = out.get((k1, k2), ZERO) + c1 * c2
-        return LinComb.wrap({k: v for k, v in out.items() if v})
+        return tensor(self.left.product(S, T, x[0], y[0]),
+                      self.right.product(S, T, x[1], y[1]))
 
     def coproduct(self, S, T, key):
         if self.monomial:
             return SpeciesModel.coproduct(self, S, T, key)
-        out = {}
-        for (a1, b1), c1 in self.left.coproduct(S, T, key[0]).terms.items():
-            for (a2, b2), c2 in self.right.coproduct(S, T, key[1]).terms.items():
-                pair = ((a1, a2), (b1, b2))
-                out[pair] = out.get(pair, ZERO) + c1 * c2
-        return LinComb.wrap({k: v for k, v in out.items() if v})
+        pairs = tensor(self.left.coproduct(S, T, key[0]), self.right.coproduct(S, T, key[1]))
+        return LinComb.wrap({((a1, a2), (b1, b2)): c
+                             for ((a1, b1), (a2, b2)), c in pairs.terms.items()})
 
 
 def dual_model(model):
@@ -554,14 +552,16 @@ def check_associativity(model, n):
 
 
 def check_unitality(model, n):
+    """The product with the unit on either side is the identity."""
     full = full_mask(n)
     bad = []
-    e = model.unit_key()
-    for x in model.basis_on(full):
-        if model.product(0, full, e, x) != LinComb.term(x):
-            bad.append(("left", x))
-        if model.product(full, 0, x, e) != LinComb.term(x):
-            bad.append(("right", x))
+    unit = model.unit()
+    for key in model.basis_on(full):
+        x = LinComb.term(key)
+        if mu_shape(model, (0, full), tensor(unit, x)) != x:
+            bad.append(("left", key))
+        if mu_shape(model, (full, 0), tensor(x, unit)) != x:
+            bad.append(("right", key))
     return bad
 
 
@@ -593,19 +593,18 @@ def check_compatibility(model, n):
 
 
 def check_degree_zero(model):
-    """Unit/counit coherence on the degree-0 component."""
+    """Unit/counit coherence on the degree-0 component: the counit of the
+    unit is 1, the unit is group-like, and the counit is multiplicative."""
     bad = []
-    e = model.unit_key()
-    if model.counit(e) != 1:
+    unit = model.unit()
+    if delta_shape(model, (), unit) != tensor():
         bad.append(("counit-unit",))
-    expected = LinComb.term((e, e))
-    if model.coproduct(0, 0, e) != expected:
+    if delta_shape(model, (0, 0), unit) != tensor(unit, unit):
         bad.append(("coproduct-unit",))
-    for x in model.basis_on(0):
-        for y in model.basis_on(0):
-            lhs = sum((c * model.counit(k) for k, c in model.product(0, 0, x, y).terms.items()), ZERO)
-            if lhs != model.counit(x) * model.counit(y):
-                bad.append(("counit-product", x, y))
+    for x, y in tensor_basis(model, (0, 0)):
+        lhs = delta_shape(model, (), mu_shape(model, (0, 0), LinComb.term((x, y))))
+        if lhs != LinComb.term((), model.counit(x) * model.counit(y)):
+            bad.append(("counit-product", x, y))
     return bad
 
 
@@ -971,9 +970,8 @@ def unit_family(model, nmax):
     for m in range(nmax + 1):
         basis = model.basis(m)
         if m == 0:
-            e = model.unit_key()
-            out[m] = LinMap(basis, basis,
-                            {k: LinComb.term(e, model.counit(k)) for k in basis})
+            unit = model.unit()
+            out[m] = LinMap(basis, basis, {k: unit.scale(model.counit(k)) for k in basis})
         else:
             out[m] = LinMap.zero(basis, basis)
     return out

@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .exactlin import LinComb, LinMap, lc_sum
+from .exactlin import LinComb, LinMap, lc_sum, tensor
 from .kernels import comp_tits, dec_tits, popcount
 from .models import _sigma_Q_to_H
 from .setcomb import (
@@ -371,22 +371,8 @@ def eulerian_decomposition(model, n, idempotents=None):
     }
 
 
-def mu_pair(model, S, T, xs, ys):
-    """Bilinear product of two LinCombs supported on components S and T."""
-    out = {}
-    for kx, cx in xs.terms.items():
-        for ky, cy in ys.terms.items():
-            for k, c in model.product(S, T, kx, ky).terms.items():
-                w = out.get(k, ZERO) + cx * cy * c
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-    return LinComb.wrap(out)
-
-
 def commutator(model, S, T, xs, ys):
-    return mu_pair(model, S, T, xs, ys) - mu_pair(model, T, S, ys, xs)
+    return mu_shape(model, (S, T), tensor(xs, ys)) - mu_shape(model, (T, S), tensor(ys, xs))
 
 
 def is_primitive(model, mask, lc):
@@ -409,16 +395,6 @@ def left_bracketing(model, shape, factors):
     mask = shape[0]
     for i in range(1, len(shape)):
         acc = commutator(model, mask, shape[i], acc, factors[i])
-        mask |= shape[i]
-    return acc
-
-
-def product_along(model, shape, factors):
-    factors = [f if isinstance(f, LinComb) else LinComb.term(f) for f in factors]
-    acc = factors[0]
-    mask = shape[0]
-    for i in range(1, len(shape)):
-        acc = mu_pair(model, mask, shape[i], acc, factors[i])
         mask |= shape[i]
     return acc
 
@@ -460,8 +436,7 @@ def pbw_image(model, X, idx, cache):
     order = list(range(len(X)))
     for perm in itertools.permutations(order):
         shape = tuple(X[j] for j in perm)
-        facs = [vectors[j] for j in perm]
-        total = total + product_along(model, shape, facs)
+        total = total + mu_shape(model, shape, tensor(*[vectors[j] for j in perm]))
     return total.scale(Fraction(1, factorial(len(X))))
 
 
@@ -486,21 +461,15 @@ def pbw_check(model, n):
     for S in submasks(full):
         T = full ^ S
         for (X, idx) in lm.domain:
-            lhs = delta_shape(model, (S, T), lm.cols[(X, idx)]).terms
+            lhs = delta_shape(model, (S, T), lm.cols[(X, idx)])
             admissible = all((b & S == b) or (b & S == 0) for b in X)
-            rhs = {}
+            rhs = LinComb()
             if admissible:
                 XS = tuple(b for b in X if b & S)
                 XT = tuple(b for b in X if not (b & S))
                 iS = tuple(i for b, i in zip(X, idx) if b & S)
                 iT = tuple(i for b, i in zip(X, idx) if not (b & S))
-                left = pbw_image(model, XS, iS, cache) if XS else LinComb.term(model.unit_key())
-                right = pbw_image(model, XT, iT, cache) if XT else LinComb.term(model.unit_key())
-                for ka, ca in left.terms.items():
-                    for kb, cb in right.terms.items():
-                        w = rhs.get((ka, kb), ZERO) + ca * cb
-                        if w:
-                            rhs[(ka, kb)] = w
+                rhs = tensor(pbw_image(model, XS, iS, cache), pbw_image(model, XT, iT, cache))
             if lhs != rhs:
                 report["comonoid"] = False
                 return report

@@ -2,9 +2,9 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (254 tests) took 139 s on a 2-core machine, of which
-criterion 1 took 25 s: every S_n-equivariant axiom checks one instance per
-orbit once naturality is proved.  Criterion 6 took 8 s, most of it building
+The whole tier-1 suite (275 tests) took 163 s on a 2-core machine, of which
+criterion 1 took 23 s: every S_n-equivariant axiom checks one instance per
+orbit once naturality is proved.  Criterion 6 took 10 s, most of it building
 the Sigma degree-5 characteristic operation; its rank takes about 1 s.
 """
 
@@ -18,7 +18,7 @@ from species_forge.antipode import (
     takeuchi_column,
     verify_antipode,
 )
-from species_forge.exactlin import LinComb, LinMap
+from species_forge.exactlin import LinComb, LinMap, tensor
 from species_forge.gf import sequence_transform_report, boolean_transform
 from species_forge.models import basis_change, q_view
 from species_forge.series import (
@@ -38,7 +38,7 @@ from species_forge.setcomb import (
     partitions_of,
     submasks,
 )
-from species_forge.species import delta_shape, run_axiom_suite
+from species_forge.species import delta_shape, mu_shape, run_axiom_suite
 from species_forge.titsops import (
     TitsElement,
     characteristic_op,
@@ -101,8 +101,6 @@ def test_criterion_2_antipode_cross_validation():
 
 
 def test_criterion_3_q_basis_theory():
-    from species_forge.titsops import mu_pair
-
     for name, top in (("Sigma", 4), ("Pi", 4), ("G", 4)):
         model = build_model(name)
         view = q_view(model)
@@ -124,7 +122,7 @@ def test_criterion_3_q_basis_theory():
                         hx = basis_change(model, "Q", "H", LinComb.term(x), n)
                         hy = basis_change(model, "Q", "H", LinComb.term(y), n)
                         want = basis_change(model, "H", "Q",
-                                            mu_pair(model, S, T, hx, hy), n)
+                                            mu_shape(model, (S, T), tensor(hx, hy)), n)
                         assert view.product(S, T, x, y) == want
         # Q-basis antipodes against the conjugated alternating sum
         for n in range(top + 1):

@@ -14,12 +14,12 @@ from species_forge.antipode import (
     takeuchi_column,
     verify_antipode,
 )
-from species_forge.exactlin import LinComb, LinMap
+from species_forge.exactlin import LinComb, LinMap, tensor
 from species_forge.models import basis_change, q_view
 from species_forge.kernels import popcount
 from species_forge.setcomb import decode_comp, decode_partition, full_mask, submasks
-from species_forge.species import NotHopfError, component_map
-from species_forge.titsops import mu_pair, primitive_part
+from species_forge.species import NotHopfError, component_map, mu_shape
+from species_forge.titsops import primitive_part
 
 E = build_model("E")
 L = build_model("L")
@@ -112,8 +112,8 @@ def test_antipode_reverses_products():
                 for x in model.basis_on(S):
                     for y in model.basis_on(T):
                         lhs = fam[n](model.product(S, T, x, y))
-                        rhs = mu_pair(model, T, S, sT(LinComb.term(y)),
-                                      sS(LinComb.term(x))).scale(braid)
+                        rhs = mu_shape(model, (T, S), tensor(sT(LinComb.term(y)),
+                                                             sS(LinComb.term(x)))).scale(braid)
                         assert lhs == rhs, (name, n, S, T)
 
 

@@ -263,11 +263,42 @@ def test_cli_series_ops(capsys):
     assert main(["series", "power-laws", "--nmax", "3"]) == 0
 
 
+def test_cli_sigma_only_series_ops_refuse_other_models(capsys):
+    for argv in (["series", "power-laws", "--model", "L", "--nmax", "2"],
+                 ["series", "log-uni", "--model", "dual:Sigma", "--nmax", "2"],
+                 ["series", "log-uni", "--q", "2", "--nmax", "2"],
+                 ["series", "power-laws", "--model", "Sigma", "--q", "2", "--nmax", "2"]):
+        _assert_usage_error(capsys, argv)
+    assert main(["series", "power-laws", "--model", "Sigma", "--nmax", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_cli_table_format_and_out_go_through_one_writer(tmp_path, capsys):
+    table = tmp_path / "verify.txt"
+    assert main(["verify", "E", "2", "--format", "table", "--out", str(table)]) == 0
+    assert capsys.readouterr().out == ""
+    assert table.read_text().splitlines()[0].startswith("E n=0: pass ")
+    table = tmp_path / "antipode.txt"
+    assert main(["antipode", "Pi", "2", "H", "takeuchi", "--format", "table",
+                 "--out", str(table)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "01: 2*0.1 - 01" in table.read_text()
+    # only verify and antipode have a table view
+    for argv in (["dump", "E", "0"], ["gf", "E", "2"], ["idempotents", "2"],
+                 ["series", "log-uni"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "table"])
+        assert exc.value.code == 2, argv
+
+
 def test_cli_dump(capsys):
     assert main(["dump", "E", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["unit"] == ""
     assert {"S": "01", "T": "", "x": "01", "y": "", "out": {"01": "1"}} in payload["product"]
+    # a unit of several keys is written as a linear combination
+    assert main(["dump", "dual:SigmaHat:1", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["unit"] == {"()": "1", "(0,)": "1"}
 
 
 def test_cli_deterministic_output(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from species_forge import dual_model
-from species_forge.exactlin import LinComb, LinMap
+from species_forge.exactlin import LinComb, LinMap, tensor
 from species_forge import graphs
 from species_forge.models import (
     UnknownModelError,
@@ -30,8 +30,7 @@ from species_forge.setcomb import (
     submasks,
     support,
 )
-from species_forge.species import component_map, run_axiom_suite
-from species_forge.titsops import mu_pair
+from species_forge.species import component_map, mu_shape, run_axiom_suite
 
 E = build("E")
 L = build("L")
@@ -108,7 +107,7 @@ def test_dual_triangles_are_transposes():
 def _q_oracle_product(model, S, T, x, y, n):
     hx = basis_change(model, "Q", "H", LinComb.term(x), n)
     hy = basis_change(model, "Q", "H", LinComb.term(y), n)
-    return basis_change(model, "H", "Q", mu_pair(model, S, T, hx, hy), n)
+    return basis_change(model, "H", "Q", mu_shape(model, (S, T), tensor(hx, hy)), n)
 
 
 def _q_oracle_coproduct(model, S, T, z, n):
@@ -224,7 +223,7 @@ def _morphism_commutes(name, src, dst, n, max_blocks=3):
         for x in src.basis_on(S):
             for y in src.basis_on(T):
                 lhs = fn(src.product(S, T, x, y))
-                rhs = mu_pair(dst, S, T, fn(LinComb.term(x)), fn(LinComb.term(y)))
+                rhs = mu_shape(dst, (S, T), tensor(fn(LinComb.term(x)), fn(LinComb.term(y))))
                 if lhs != rhs:
                     return False
         for z in src.basis_on(full):
@@ -339,7 +338,7 @@ def _check_duality_morphism(model, psi_by_degree, n):
         for x in model.basis_on(S):
             for y in model.basis_on(T):
                 lhs = psiI(model.product(S, T, x, y))
-                rhs = mu_pair(dual, S, T, psiS(LinComb.term(x)), psiT(LinComb.term(y)))
+                rhs = mu_shape(dual, (S, T), tensor(psiS(LinComb.term(x)), psiT(LinComb.term(y))))
                 if lhs != rhs:
                     return False
     return True

@@ -9,7 +9,7 @@ import pytest
 
 from species_forge import build_model
 from species_forge.antipode import antipode_family
-from species_forge.exactlin import LinComb, LinMap
+from species_forge.exactlin import LinComb, LinMap, tensor
 from species_forge.models import basis_change
 from species_forge.setcomb import (
     comp_tits,
@@ -21,7 +21,7 @@ from species_forge.setcomb import (
     popcount,
     submasks,
 )
-from species_forge.species import delta_shape
+from species_forge.species import delta_shape, mu_shape
 from species_forge.titsops import (
     TitsElement,
     characteristic_op,
@@ -43,7 +43,6 @@ from species_forge.titsops import (
     primitive_basis_on,
     primitive_dimension_ranks,
     primitive_part,
-    product_along,
     psi_map,
     q_basis_in_h,
     tits_multiply,
@@ -381,14 +380,14 @@ def test_dynkin_on_products_of_primitives():
     n = 3
     for shape in ((3, 4), (4, 3), (1, 6), (6, 1)):
         facs = [primitive_basis_on(Sigma, b, {})[0] for b in shape]
-        prod = product_along(Sigma, shape, facs)
+        prod = mu_shape(Sigma, shape, tensor(*facs))
         got = characteristic_op(Sigma, dynkin(n), prod)
         want = left_bracketing(Sigma, shape, facs).scale(popcount(shape[0]))
         assert got == want
     for j in range(n):
         for shape in ((3, 4), (4, 3)):
             facs = [primitive_basis_on(Sigma, b, {})[0] for b in shape]
-            prod = product_along(Sigma, shape, facs)
+            prod = mu_shape(Sigma, shape, tensor(*facs))
             got = characteristic_op(Sigma, pdynkin(j, n), prod)
             if (1 << j) & shape[0]:
                 assert got == left_bracketing(Sigma, shape, facs)
@@ -417,7 +416,7 @@ def test_dynkin_specht_wever():
 def test_pbw_explicit_map():
     for name in ("E", "L", "Pi", "Sigma"):
         model = build_model(name)
-        for n in range(1, 3 + 1):
+        for n in range(3 + 1):  # degree 0: the empty product is the unit
             rep = pbw_check(model, n)
             assert rep["bijective"] and rep["comonoid"], (name, n)
 
