@@ -9,7 +9,6 @@ cross-checked against brute-force oracles in the test suite.
 
 from .exactlin import LinComb, LinMap, Rational, SingularMapError
 from .kernels import BACKEND
-from .setcomb import SetComposition, SetDecomposition, SetPartition
 from .species import (
     NotHopfError,
     SpeciesModel,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "LinComb", "LinMap", "Rational", "SingularMapError",
-    "SetComposition", "SetDecomposition", "SetPartition",
     "SpeciesModel", "TensorElement", "NotHopfError", "UnsupportedOperation",
     "dual_model", "hadamard", "higher_mu", "higher_delta", "orbit_count",
     "build_model", "UnknownModelError",

@@ -42,7 +42,7 @@ from .setcomb import (
     partitions_of,
     submasks,
 )
-from .species import NotHopfError, run_axiom_suite
+from .species import NotHopfError, run_axiom_suite, sweep_instances
 from .titsops import (
     TitsElement,
     dynkin,
@@ -64,6 +64,7 @@ EXIT_UNSUPPORTED = 3
 
 GF_MAX_KEYS = 10 ** 6  # basis keys gf may enumerate to count types
 SIGMAHAT_MAX_BLOCKS = 3  # SigmaHat:<k> with more blocks needs SPECIES_FORGE_MAX_N >= k
+SWEEP_MAX_INSTANCES = 2435041  # sweep_instances(Sigma, 5); more needs SPECIES_FORGE_MAX_N >= n
 
 
 class UsageError(Exception):
@@ -144,20 +145,27 @@ def _max_n_override():
         raise UsageError(f"SPECIES_FORGE_MAX_N must be an integer, not {override!r}") from None
 
 
-def _check_budget(name, n):
-    """The degree budget, and the block budget of SigmaHat: SigmaHat:<k> has
-    k + 1 degree-0 keys, and a spec with more than SigmaHat:3's 4 (a larger
-    k, or a Hadamard product of SigmaHat factors) is refused.
-    SPECIES_FORGE_MAX_N lifts both."""
+def _check_budget(name, model, n):
+    """The degree budget of the spec `name`; the block budget of SigmaHat:
+    SigmaHat:<k> has k + 1 degree-0 keys, and a model with more than
+    SigmaHat:3's 4 (a larger k, or a Hadamard product of SigmaHat factors)
+    is refused; and the sweep budget: a model whose full higher-compatibility
+    sweep at degree n has more instances than Sigma's at degree 5 (a
+    Hadamard product, whose components are products of its factors') is
+    refused.  SPECIES_FORGE_MAX_N lifts all three."""
     override = _max_n_override()
     cap = max(degree_budget(name), override)
     if n > cap:
         raise UsageError(f"degree {n} exceeds the budget {cap} for {name}")
-    blocks = _build_named(name).dim(0) - 1
+    blocks = model.dim(0) - 1
     if blocks > max(SIGMAHAT_MAX_BLOCKS, override):
         raise UsageError(f"{name} has {blocks + 1} degree-0 keys, over the "
                          f"{SIGMAHAT_MAX_BLOCKS + 1} of SigmaHat:{SIGMAHAT_MAX_BLOCKS}; "
                          f"set SPECIES_FORGE_MAX_N={blocks} to run it")
+    if n > override and (size := sweep_instances(model, n)) > SWEEP_MAX_INSTANCES:
+        raise UsageError(f"{name} at degree {n} has {size} sweep instances, over the "
+                         f"{SWEEP_MAX_INSTANCES} of Sigma at degree 5; "
+                         f"set SPECIES_FORGE_MAX_N={n} to run it")
 
 
 def _write(text):
@@ -195,7 +203,7 @@ def _emit(payload, args, table=None):
 def cmd_verify(args):
     name, model = _build(args)
     nmax = args.nmax
-    _check_budget(name, nmax)
+    _check_budget(name, model, nmax)
     reports = run_axiom_suite(model, nmax)
     payload = {
         "schema": SCHEMA,
@@ -218,7 +226,7 @@ def cmd_verify(args):
 def cmd_antipode(args):
     name, model = _build(args)
     n = args.n
-    _check_budget(name, n)
+    _check_budget(name, model, n)
     if not model.connected:
         print(f"error: {name} is not a Hopf monoid", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -288,11 +296,11 @@ def cmd_idempotents(args):
     n = args.n
     if n < 1:
         raise UsageError("idempotent tables need n >= 1")
-    _check_budget("Sigma", n)
+    _check_budget("Sigma", build_model("Sigma"), n)
     model = None
     if args.check_decomposition:
         model = _build_named(args.check_decomposition)
-        _check_budget(args.check_decomposition, n)
+        _check_budget(args.check_decomposition, model, n)
     parts = partitions_of(full_mask(n))
     payload = {"schema": SCHEMA, "command": "idempotents", "n": n, "tables": {}}
     enc = encode_comp
@@ -337,8 +345,8 @@ def cmd_series(args):
     if sigma_only and (args.q is not None or args.model not in (None, "Sigma")):
         raise UsageError(f"series {op} runs on Sigma only; it takes no --q and no other --model")
     if op == "log-uni":
-        _check_budget("Sigma", nmax)
         model = build_model("Sigma")
+        _check_budget("Sigma", model, nmax)
         uni = uni_series(model, nmax)
         logu = log_series(uni)
         ok = logu == euler_series(model, nmax)
@@ -347,14 +355,14 @@ def cmd_series(args):
         payload["equals_euler"] = ok
     elif op == "exp-log":
         name, model = _build(args)
-        _check_budget(name, nmax)
+        _check_budget(name, model, nmax)
         rep = exp_log_bijection_check(model, nmax)
         payload["report"] = rep["cases"]
         payload["model"] = name
         ok = rep["ok"]
     elif op == "power-laws":
-        _check_budget("Sigma", nmax)
         model = build_model("Sigma")
+        _check_budget("Sigma", model, nmax)
         uni = uni_series(model, nmax)
         cases = []
         for c in (Fraction(1, 2), Fraction(-1), Fraction(2)):
@@ -374,7 +382,7 @@ def cmd_series(args):
 def cmd_dump(args):
     name, model = _build(args)
     n = args.n
-    _check_budget(name, n)
+    _check_budget(name, model, n)
     enc = key_encoder(model, n)
     unit = lincomb_json(model.unit(), enc)  # one key with coefficient 1 prints as that key
     full = full_mask(n)

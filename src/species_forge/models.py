@@ -399,8 +399,6 @@ _BASIS_CHANGES = {
     ("G", "M", "P"): lambda m, n: (lambda key: _g_M_to_P(key, full_mask(n))),
 }
 
-BASIS_TAGS = ("H", "Q", "M", "P")
-
 
 def basis_change(model, frm, to, lc, n=None):
     """Convert coordinates between basis views of Pi, G, or Sigma.

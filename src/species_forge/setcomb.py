@@ -4,9 +4,8 @@ text encodings.
 
 Subsets are int bitmasks throughout.  A composition/decomposition is a tuple
 of masks (ordered blocks); a partition is a tuple of masks sorted by least
-element.  The raw-tuple functions are the working representation used by the
-model layer; the SetComposition / SetDecomposition / SetPartition classes
-wrap them for validation and I/O.
+element.  These bitmask tuples are the one representation: models, sweeps,
+Tits operations and the CLI all work on them through the functions here.
 
 Canonical enumeration orders (frozen, so basis indices are reproducible):
 
@@ -39,15 +38,14 @@ from .kernels import (
 
 __all__ = [
     "MAX_DEGREE", "full_mask", "mask_from_labels", "mask_labels",
-    "SetComposition", "SetDecomposition", "SetPartition",
     "area", "dist", "dist_opp", "popcount", "mask_permute",
     "comp_permute", "comp_restrict", "comp_tits", "comp_refines",
     "dec_restrict", "dec_tits", "tits_perm",
     "comp_concat", "comp_opp", "comp_factorial",
     "rel_length", "rel_factorial", "support", "positive_part",
-    "partition_sort", "partition_restrict", "partition_union",
+    "partition_sort", "partition_restrict",
     "partition_refines", "partition_join", "cyclic_factorial",
-    "partition_factorial", "partition_rel_factorial",
+    "partition_rel_factorial",
     "mobius_partition",
     "compositions_of", "partitions_of", "decompositions_exact",
     "decompositions_of", "refinements", "partition_refinements",
@@ -153,12 +151,6 @@ def partition_restrict(x, smask):
     return partition_sort(c for b in x if (c := b & smask))
 
 
-def partition_union(x, y):
-    if _union(x) & _union(y):
-        raise ValueError("union requires disjoint ground sets")
-    return partition_sort(x + y)
-
-
 def partition_refines(x, y):
     """True iff x <= y, i.e. every block of y sits inside a block of x."""
     for c in y:
@@ -184,13 +176,6 @@ def cyclic_factorial(x):
     out = 1
     for b in x:
         out *= factorial(popcount(b) - 1)
-    return out
-
-
-def partition_factorial(x):
-    out = 1
-    for b in x:
-        out *= factorial(popcount(b))
     return out
 
 
@@ -501,237 +486,3 @@ def decode_dec(s):
     if set(s) == {"|"}:
         return (0,) * len(s)
     return tuple(_block_from_str(part) for part in s.split("|"))
-
-
-# ---------------------------------------------------------------------------
-# wrapper classes
-
-
-def _validate_blocks(blocks, n, allow_empty):
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be between 0 and {MAX_DEGREE}, got {n}")
-    ambient = full_mask(n)
-    seen = 0
-    for b in blocks:
-        if not 0 <= b <= ambient:
-            raise ValueError("block outside the ground set")
-        if b == 0 and not allow_empty:
-            raise ValueError("empty block in a composition")
-        if b & seen:
-            raise ValueError("blocks must be pairwise disjoint")
-        seen |= b
-    return seen
-
-
-class SetComposition:
-    """Ordered sequence of disjoint nonempty blocks; a composition of the
-    union of its blocks, living inside the ambient ground set [n]."""
-
-    __slots__ = ("blocks", "n")
-
-    def __init__(self, blocks, n):
-        blocks = tuple(b if isinstance(b, int) else mask_from_labels(b) for b in blocks)
-        _validate_blocks(blocks, n, allow_empty=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SetComposition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SetComposition) and self.blocks == other.blocks and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.blocks, self.n))
-
-    def __repr__(self):
-        return f"SetComposition({encode_comp(self.blocks)!r}, n={self.n})"
-
-    def __len__(self):
-        return len(self.blocks)
-
-    @classmethod
-    def decode(cls, s, n):
-        return cls(decode_comp(s), n)
-
-    def encode(self):
-        return encode_comp(self.blocks)
-
-    @property
-    def ground(self):
-        return _union(self.blocks)
-
-    def concat(self, other):
-        self._same_ambient(other)
-        return SetComposition(comp_concat(self.blocks, other.blocks), self.n)
-
-    def restrict(self, smask):
-        if smask & ~self.ground:
-            raise ValueError("restriction set must sit inside the ground set")
-        return SetComposition(comp_restrict(self.blocks, smask), self.n)
-
-    def tits(self, other):
-        self._same_ground(other)
-        return SetComposition(comp_tits(self.blocks, other.blocks), self.n)
-
-    def opp(self):
-        return SetComposition(comp_opp(self.blocks), self.n)
-
-    def refines(self, other):
-        """True iff self <= other (other refines self)."""
-        self._same_ground(other)
-        return comp_refines(self.blocks, other.blocks)
-
-    def length(self):
-        return len(self.blocks)
-
-    def fact(self):
-        return comp_factorial(self.blocks)
-
-    def support(self):
-        return SetPartition(support(self.blocks), self.n)
-
-    def area(self, smask, tmask):
-        return area(self.blocks, smask, tmask)
-
-    def dist(self, other):
-        self._same_ground(other)
-        return dist(self.blocks, other.blocks)
-
-    def _same_ambient(self, other):
-        if self.n != other.n:
-            raise ValueError("ambient degrees differ")
-
-    def _same_ground(self, other):
-        self._same_ambient(other)
-        if self.ground != other.ground:
-            raise ValueError("ground sets differ")
-
-
-class SetDecomposition:
-    """Ordered sequence of disjoint blocks, empty blocks allowed."""
-
-    __slots__ = ("blocks", "n")
-
-    def __init__(self, blocks, n):
-        blocks = tuple(b if isinstance(b, int) else mask_from_labels(b) for b in blocks)
-        _validate_blocks(blocks, n, allow_empty=True)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SetDecomposition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SetDecomposition) and self.blocks == other.blocks and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.blocks, self.n, "dec"))
-
-    def __repr__(self):
-        return f"SetDecomposition({encode_dec(self.blocks)!r}, n={self.n})"
-
-    def __len__(self):
-        return len(self.blocks)
-
-    @classmethod
-    def decode(cls, s, n):
-        return cls(decode_dec(s), n)
-
-    def encode(self):
-        return encode_dec(self.blocks)
-
-    @property
-    def ground(self):
-        return _union(self.blocks)
-
-    def concat(self, other):
-        if self.n != other.n:
-            raise ValueError("ambient degrees differ")
-        return SetDecomposition(comp_concat(self.blocks, other.blocks), self.n)
-
-    def restrict(self, smask):
-        if smask & ~self.ground and self.ground:
-            raise ValueError("restriction set must sit inside the ground set")
-        return SetDecomposition(dec_restrict(self.blocks, smask), self.n)
-
-    def tits(self, other):
-        if self.ground != other.ground or self.n != other.n:
-            raise ValueError("ground sets differ")
-        return SetDecomposition(dec_tits(self.blocks, other.blocks), self.n)
-
-    def positive_part(self):
-        return SetComposition(positive_part(self.blocks), self.n)
-
-    def refines(self, other):
-        """Preorder self <= other, witnessed by a splitting."""
-        return dec_refines(self.blocks, other.blocks)
-
-    def dist(self, other):
-        return dist(self.blocks, other.blocks)
-
-
-class SetPartition:
-    """Unordered disjoint nonempty blocks; stored sorted by least element."""
-
-    __slots__ = ("blocks", "n")
-
-    def __init__(self, blocks, n):
-        blocks = partition_sort(b if isinstance(b, int) else mask_from_labels(b) for b in blocks)
-        _validate_blocks(blocks, n, allow_empty=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SetPartition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SetPartition) and self.blocks == other.blocks and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.blocks, self.n, "par"))
-
-    def __repr__(self):
-        return f"SetPartition({encode_partition(self.blocks)!r}, n={self.n})"
-
-    def __len__(self):
-        return len(self.blocks)
-
-    @classmethod
-    def decode(cls, s, n):
-        return cls(decode_partition(s), n)
-
-    def encode(self):
-        return encode_partition(self.blocks)
-
-    @property
-    def ground(self):
-        return _union(self.blocks)
-
-    def restrict(self, smask):
-        return SetPartition(partition_restrict(self.blocks, smask), self.n)
-
-    def union(self, other):
-        if self.n != other.n:
-            raise ValueError("ambient degrees differ")
-        return SetPartition(partition_union(self.blocks, other.blocks), self.n)
-
-    def refines(self, other):
-        """True iff self <= other (other refines self)."""
-        return partition_refines(self.blocks, other.blocks)
-
-    def join(self, other):
-        return SetPartition(partition_join(self.blocks, other.blocks), self.n)
-
-    def length(self):
-        return len(self.blocks)
-
-    def fact(self):
-        return partition_factorial(self.blocks)
-
-    def cyclic_fact(self):
-        return cyclic_factorial(self.blocks)
-
-    def mobius(self, other):
-        """mu(self, other) for self <= other in the partition lattice."""
-        return mobius_partition(self.blocks, other.blocks)

@@ -18,6 +18,7 @@ LinCombs.  The checkers and antipode code pick the fast path when available.
 import functools
 import itertools
 from fractions import Fraction
+from math import prod
 
 from .exactlin import LinComb, LinMap, lc_sum, tensor
 from .kernels import comp_restrict, dist, mask_permute, popcount, tits_perm
@@ -786,21 +787,42 @@ def _axiom_sweep(model, axiom, n, natural):
         check = functools.partial(_cocommutativity, model, _pairs(full))
         return _sweep(model, n, [(full,)], natural, check)
     if axiom == "compatibility":
-        shapes, split = decompositions_exact(full, 2), _dec_split
-    elif axiom != "higher-compatibility":
+        shapes = decompositions_exact(full, 2)
+        return _sweep(model, n, shapes, natural,
+                      functools.partial(_compatibility, model, shapes, _dec_split))
+    if axiom != "higher-compatibility":
         raise ValueError(f"unknown axiom {axiom!r}")
-    elif model.connected:
-        shapes, split = compositions_of(full), _comp_split
-    else:
-        shapes, split = decompositions_of(full, model.max_blocks), _dec_split
+    return _higher_compatibility(model, n, natural, model.connected)
+
+
+def _higher_shapes(model, n, connected):
+    """The shapes F and G of the higher-compatibility sweep at degree n, and
+    their splitting: the compositions of [n] when `connected`, else the
+    decompositions with at most `model.max_blocks` blocks."""
+    full = full_mask(n)
+    if connected:
+        return compositions_of(full), _comp_split
+    return decompositions_of(full, model.max_blocks), _dec_split
+
+
+def _higher_compatibility(model, n, natural, connected):
+    shapes, split = _higher_shapes(model, n, connected)
     return _sweep(model, n, shapes, natural, functools.partial(_compatibility, model, shapes, split))
+
+
+def sweep_instances(model, n):
+    """Instances (F, x, G) of the full higher-compatibility sweep of the
+    axiom suite at degree n, the largest of its sweeps: for each shape F the
+    keys x over it, a product of component dimensions, times the number of
+    shapes G.  Only the shapes are enumerated."""
+    shapes, _ = _higher_shapes(model, n, model.connected)
+    dims = [model.dim(k) for k in range(n + 1)]
+    return len(shapes) * sum(prod(dims[popcount(b)] for b in F) for F in shapes)
 
 
 def check_higher_compatibility(model, n):
     """The higher-compatibility axiom over all pairs of compositions."""
-    shapes = compositions_of(full_mask(n))
-    return _sweep(model, n, shapes, not check_naturality(model, n),
-                  functools.partial(_compatibility, model, shapes, _comp_split))
+    return _higher_compatibility(model, n, not check_naturality(model, n), True)
 
 
 def _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
@@ -864,9 +886,7 @@ def check_higher_compatibility_dec(model, n):
     """Decomposition-indexed variant for non-connected models: F and G range
     over decompositions with at most `model.max_blocks` blocks, with the
     canonical row/column splittings of FG and GF."""
-    shapes = decompositions_of(full_mask(n), model.max_blocks)
-    return _sweep(model, n, shapes, not check_naturality(model, n),
-                  functools.partial(_compatibility, model, shapes, _dec_split))
+    return _higher_compatibility(model, n, not check_naturality(model, n), False)
 
 
 def check_axiom(model, axiom, n):

@@ -228,24 +228,6 @@ def h_power_dec(p, n):
     return TitsElement(n, LinComb({k: ONE for k in keys}), dec=True)
 
 
-def idempotent(kind, n, *, k=None, X=None, i=None, p=None):
-    """Build a named element: euler1, euler_k, garsia_reutenauer, dynkin,
-    pdynkin, or h_power."""
-    if kind == "euler1":
-        return euler_first(n)
-    if kind == "euler_k":
-        return euler_higher(k, n)
-    if kind == "garsia_reutenauer":
-        return garsia_reutenauer(X, n)
-    if kind == "dynkin":
-        return dynkin(n)
-    if kind == "pdynkin":
-        return pdynkin(i, n)
-    if kind == "h_power":
-        return h_power(p, n)
-    raise ValueError(f"unknown idempotent kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # primitive part, indecomposables, cumulants
 

@@ -2,10 +2,11 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (275 tests) took 163 s on a 2-core machine, of which
-criterion 1 took 23 s: every S_n-equivariant axiom checks one instance per
-orbit once naturality is proved.  Criterion 6 took 10 s, most of it building
-the Sigma degree-5 characteristic operation; its rank takes about 1 s.
+The whole tier-1 suite (277 tests) took 139 s on a 2-core machine.  Run
+alone, criterion 1 took 23 s: every S_n-equivariant axiom checks one instance
+per orbit once naturality is proved.  Criterion 6 took 10 s, most of it
+building the Sigma degree-5 characteristic operation; its rank takes about
+1 s.
 """
 
 from fractions import Fraction

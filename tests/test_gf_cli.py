@@ -21,6 +21,7 @@ from species_forge.gf import (
     sequence_transform_report,
     series_multiply,
 )
+from species_forge.species import sweep_instances
 
 
 def poly_inverse_oracle(dims, nterms):
@@ -149,6 +150,29 @@ def test_cli_sigmahat_block_budget(capsys, monkeypatch):
     monkeypatch.setenv("SPECIES_FORGE_MAX_N", "4")
     assert main(["dump", "SigmaHat:4", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["model"] == "SigmaHat:4"
+
+
+def test_cli_sweep_budget(capsys, monkeypatch):
+    # A Hadamard product keeps its factors' degree budget, but its components
+    # are products of theirs, so its sweep outgrows Sigma's at degree 5.
+    refused = [["verify", "had:L,Pi", "5"], ["verify", "had:Pi,Pi", "5"],
+               ["antipode", "had:L,L", "5", "H", "takeuchi"],
+               ["antipode", "had:Pi,Sigma", "5", "H", "mm-left"], ["dump", "had:L,L", "5"]]
+    for argv in refused:
+        _assert_usage_error(capsys, argv)
+    assert cli.SWEEP_MAX_INSTANCES == sweep_instances(build_model("Sigma"), 5)
+    # accepted pins are checked without running them
+    accepted = [("had:E,Sigma", 5), ("had:L,E", 5), ("had:L,L", 4), ("had:Sigma,Sigma", 4),
+                ("had:L,G", 4), ("had:G,G", 4), ("had:Pi,Sigma", 4)]
+    for name in ("E", "L", "Lq:2", "Pi", "Sigma", "Sigmaq:2", "Q:Pi", "Q:Sigma"):
+        accepted += [(name, 5), (f"dual:{name}", 5)]
+    accepted += [("G", 4), ("dual:G", 4), ("Q:G", 4), ("SigmaHat:3", 3), ("dual:SigmaHat:3", 3)]
+    for name, n in accepted:
+        cli._check_budget(name, build_model(name), n)
+    with pytest.raises(cli.UsageError, match="SPECIES_FORGE_MAX_N=5"):
+        cli._check_budget("had:L,Pi", build_model("had:L,Pi"), 5)
+    monkeypatch.setenv("SPECIES_FORGE_MAX_N", "5")
+    cli._check_budget("had:L,Pi", build_model("had:L,Pi"), 5)
 
 
 def test_cli_closed_stdout_is_not_a_traceback():

@@ -1,0 +1,31 @@
+"""Every exported name resolves, and so does every function the layer tracer
+of perfbench/tracer.py wraps: the tracer fails on a missing name at install
+time, which only a traced benchmark run would otherwise show."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize("module", ["species_forge", "species_forge.setcomb",
+                                    "species_forge.exactlin"])
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_tracer_boundaries_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    mods = {m: importlib.import_module(f"species_forge.{m}") for m in tracer.MODULES}
+    boundaries = tracer.boundaries()
+    assert boundaries
+    missing = [(mod, fname) for mod, fname, *_ in boundaries
+               if not callable(getattr(mods[mod], fname, None))]
+    assert missing == []

@@ -11,9 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from species_forge.setcomb import (
-    SetComposition,
-    SetDecomposition,
-    SetPartition,
     area,
     coarsenings,
     comp_concat,
@@ -23,6 +20,7 @@ from species_forge.setcomb import (
     comp_restrict,
     comp_tits,
     compositions_of,
+    cyclic_factorial,
     dec_refines,
     dec_restrict,
     dec_tits,
@@ -100,6 +98,7 @@ def test_tits_product_examples():
     f = decode_comp("01|2")
     g = decode_comp("02|1")
     assert comp_tits(f, g) == decode_comp("0|1|2")
+    assert comp_opp(f) == decode_comp("2|01")
     rng = random.Random(0)
     for _ in range(50):
         n = rng.randint(1, 6)
@@ -127,6 +126,7 @@ def test_tits_monoid_properties_exhaustive():
 
 def test_refinement_vs_tits():
     assert comp_refines((7,), decode_comp("0|12"))
+    assert comp_refines(decode_comp("01|2"), decode_comp("0|1|2"))
     assert not comp_refines(decode_comp("0|12"), decode_comp("12|0"))
     for n in range(4 + 1):
         comps = compositions_of(full_mask(n))
@@ -136,6 +136,8 @@ def test_refinement_vs_tits():
 
 
 def test_support_join_and_tits():
+    x, y = decode_partition("01.2"), decode_partition("0.1.2")
+    assert partition_refines(x, y) and partition_join(x, y) == y
     for n in range(4 + 1):
         comps = compositions_of(full_mask(n))
         for f in comps:
@@ -162,6 +164,9 @@ def test_statistics():
     assert rel_length(f, g) == 2
     assert rel_factorial(f, g) == 2
     assert rel_factorial((7,), g) == 6
+    assert support(f) == decode_partition("01.2")
+    assert cyclic_factorial(support(f)) == 1
+    assert cyclic_factorial(decode_partition("012")) == 2
     # support preserves lengths and factorials
     for n in range(1, 5):
         for f in compositions_of(full_mask(n)):
@@ -224,6 +229,7 @@ def test_positive_part_commutes():
 
 def test_positive_part_example():
     assert positive_part((1, 0, 2)) == (1, 2)
+    assert encode_comp(positive_part(decode_dec("01||2"))) == "01|2"
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +378,6 @@ def test_encodings_round_trip():
 def test_encoding_sorted_within_blocks():
     assert encode_comp(((1 << 3) | 1,)) == "03"
     assert encode_partition(partition_sort([0b100, 0b011])) == "01.2"
-
-
-# ---------------------------------------------------------------------------
-# wrapper classes
-
-
-def test_setcomposition_class():
-    f = SetComposition.decode("01|2", 3)
-    g = SetComposition.decode("02|1", 3)
-    assert f.tits(g).encode() == "0|1|2"
-    assert f.opp().encode() == "2|01"
-    assert f.length() == 2 and f.fact() == 2
-    assert f.support() == SetPartition.decode("01.2", 3)
-    assert f.refines(SetComposition.decode("0|1|2", 3))
-    with pytest.raises(ValueError):
-        SetComposition([(0, 1), (1, 2)], 3)
-    with pytest.raises(ValueError):
-        SetComposition([[0], []], 2)
-    a = SetComposition([[0]], 2)
-    b = SetComposition([[1]], 2)
-    assert a.concat(b).encode() == "0|1"
-
-
-def test_setdecomposition_class():
-    d = SetDecomposition.decode("01||2", 3)
-    assert d.positive_part().encode() == "01|2"
-    assert len(d) == 3
-    e2 = SetDecomposition([[], []], 0)
-    e3 = SetDecomposition([[], [], []], 0)
-    assert e2.concat(e3) == SetDecomposition([[]] * 5, 0)
-
-
-def test_setpartition_class():
-    x = SetPartition.decode("01.2", 3)
-    y = SetPartition.decode("0.1.2", 3)
-    assert x.refines(y)
-    assert x.join(y) == y
-    assert y.mobius(y) == 1
-    assert x.cyclic_fact() == 1
-    assert SetPartition.decode("012", 3).mobius(y) == 2
 
 
 @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
