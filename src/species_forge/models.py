@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import graphs
-from .exactlin import LinComb, LinMap
+from .exactlin import ONE, ZERO, LinComb, LinMap
 from .kernels import (
     area,
     comp_permute,
@@ -43,9 +43,6 @@ from .setcomb import (
     support,
 )
 from .species import SpeciesModel, dual_model, hadamard
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class UnknownModelError(ValueError):
@@ -147,6 +144,18 @@ class GraphModel(SpeciesModel):
         return 1 << comb(n, 2)
 
 
+class _Powers(dict):
+    """The powers q**k of one braiding parameter, each computed once."""
+
+    def __init__(self, q):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, k):
+        v = self[k] = self.q ** k
+        return v
+
+
 class CompositionModel(SpeciesModel):
     """Set compositions; concatenation product, restriction coproduct
     weighted by q to the crossing number (the area statistic)."""
@@ -160,6 +169,7 @@ class CompositionModel(SpeciesModel):
         self.commutative = False
         self.cocommutative = self.q == 1
         self.set_theoretic = self.q == 1
+        self._q_powers = None if self.q == 1 else _Powers(self.q)
 
     def basis_on(self, mask):
         return compositions_of(mask)
@@ -171,10 +181,10 @@ class CompositionModel(SpeciesModel):
         return ONE, x + y
 
     def coproduct_key(self, S, T, key):
-        if self.q == 1:
+        if self._q_powers is None:
             c = ONE
         else:
-            c = self.q ** area(key, S, T)
+            c = self._q_powers[area(key, S, T)]
         return c, (comp_restrict(key, S), comp_restrict(key, T))
 
     def dim(self, n):

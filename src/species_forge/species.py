@@ -17,10 +17,9 @@ LinCombs.  The checkers and antipode code pick the fast path when available.
 
 import functools
 import itertools
-from fractions import Fraction
 from math import prod
 
-from .exactlin import LinComb, LinMap, lc_sum, tensor
+from .exactlin import ONE, ZERO, LinComb, LinMap, lc_sum, tensor
 from .kernels import comp_restrict, dist, mask_permute, popcount, tits_perm
 from .setcomb import (
     compositions_of,
@@ -30,9 +29,6 @@ from .setcomb import (
     mask_labels,
     submasks,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UnsupportedOperation(ValueError):

@@ -7,9 +7,9 @@ realizing it.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .exactlin import LinComb, LinMap, lc_sum, tensor
+from .exactlin import ONE, ZERO, LinComb, LinMap, lc_sum, tensor
 from .kernels import comp_tits, dec_tits, popcount
 from .models import _sigma_Q_to_H
 from .setcomb import (
@@ -26,15 +26,10 @@ from .species import (
     NotHopfError,
     convolve,
     delta_shape,
-    delta_shape_key,
     identity_family,
     mu_shape,
-    mu_shape_key,
     unit_family,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class TitsElement:
@@ -97,40 +92,147 @@ def tits_multiply(z, w):
 # characteristic operations
 
 
-def characteristic_op(model, z, h):
-    """z acting on h in model[n] as the sum of products-of-coproducts.
+class PrefixTree:
+    """The support of a Tits element as a tree of its shapes' prefixes.
 
-    Keys of h run outside the Tits terms, and each Tits coefficient (times
-    the key's coefficient when that is not 1) enters as the starting
-    coefficient of the coproduct along its composition.
+    A node is a pair [end, children].  `end` is the coefficient of the
+    shape that ends at the node, or None where no shape does; the node of
+    a shape is marked even when it also has children, as with the empty
+    trailing blocks of a decomposition.  `children` maps the next block to
+    its node.  The coefficients are z's scaled by `denominator`, the lcm of
+    their denominators, so they are ints; `ground` is the union of the
+    blocks of every shape.
     """
-    if model.connected and z.dec:
-        z = TitsElement(z.n, z.coeffs.map_keys(positive_part))
-    terms = z.coeffs.terms.items()
+
+    __slots__ = ("root", "denominator", "ground")
+
+    def __init__(self, model, z):
+        if model.connected and z.dec:
+            z = TitsElement(z.n, z.coeffs.map_keys(positive_part))
+        terms = z.coeffs.terms
+        self.denominator = lcm(*(a.denominator for a in terms.values()))
+        self.ground = full_mask(z.n)
+        self.root = [None, {}]
+        for F, a in terms.items():
+            node = self.root
+            for S in F:
+                node = node[1].setdefault(S, [None, {}])
+            node[0] = a.numerator * (self.denominator // a.denominator)
+
+
+def _times(coef, c):
+    """coef * c, with an integral c as an int, and no work when c is 1 (the
+    models return the shared constant ONE for most of their coefficients)."""
+    if c is ONE:
+        return coef
+    if c.denominator == 1:
+        c = c.numerator
+        if c == 1:
+            return coef
+    return coef * c
+
+
+def characteristic_op(model, z, h, tree=None):
+    """z acting on h in model[n] as the sum over z's shapes F of z_F times
+    the product along F of the coproduct along F.
+
+    One depth-first walk over z's prefix tree (`tree`, when the caller has
+    already built it) serves every shape: a node with block S over the
+    remaining set R takes the coproduct (S, R - S) of the remaining key and
+    the left-nested product of its first factor onto the accumulated key,
+    exactly the steps `delta_shape` and `mu_shape` take along each shape
+    through that prefix.  Integral coefficients stay ints inside the walk;
+    the result is divided by the tree's denominator once per output key.
+    """
+    if tree is None:
+        tree = PrefixTree(model, z)
+    walk = _walk_keys if model.monomial else _walk_terms
     out = {}
+    (end, children), ground = tree.root, tree.ground
     for key, c in h.terms.items():
-        scaled = terms if c == 1 else [(F, a * c) for F, a in terms]
-        if model.monomial:
-            for F, a in scaled:
-                img = delta_shape_key(model, F, key, a)
+        c = _times(1, c)  # an int when integral
+        if end is not None:
+            e = model.counit(key)
+            if e:
+                for ku, cu in model.unit().terms.items():
+                    out[ku] = out.get(ku, 0) + _times(_times(c, e), cu) * end
+        walk(model, children, key, c, ground, out)
+    d = tree.denominator
+    return LinComb.wrap({k: (Fraction(v, d) if type(v) is int else v / d)
+                         for k, v in out.items() if v})
+
+
+def _walk_keys(model, children, key, coef, ground, out):
+    """The walk for a monomial model: one key and coefficient per path."""
+    cop = model.coproduct_key
+    prod = model.product_key
+
+    def down(children, mask, kacc, cur, rest, coef):
+        for S, (end, sub) in children.items():
+            if end is not None:
+                c, k2 = prod(mask, S, kacc, cur)
+                out[k2] = out.get(k2, 0) + (coef if c is ONE else _times(coef, c)) * end
+            if sub:
+                rest2 = rest & ~S
+                img = cop(S, rest2, cur)
                 if img is None:
                     continue
-                c2, k2 = mu_shape_key(model, F, img[1], img[0])
-                w = out.get(k2, ZERO) + c2
-                if w:
-                    out[k2] = w
-                else:
-                    del out[k2]
-        else:
-            x = LinComb.term(key)
-            for F, a in scaled:
-                for k2, c2 in mu_shape(model, F, delta_shape(model, F, x)).terms.items():
-                    w = out.get(k2, ZERO) + a * c2
-                    if w:
-                        out[k2] = w
-                    else:
-                        del out[k2]
-    return LinComb.wrap(out)
+                c, (k1, cur2) = img
+                c2, k2 = prod(mask, S, kacc, k1)
+                c = coef if c is ONE else _times(coef, c)
+                if c2 is not ONE:
+                    c = _times(c, c2)
+                if c:  # a degenerate braiding parameter can kill the path
+                    down(sub, mask | S, k2, cur2, rest2, c)
+
+    for S, (end, sub) in children.items():
+        if end is not None:
+            out[key] = out.get(key, 0) + coef * end
+        if sub:
+            rest = ground & ~S
+            img = cop(S, rest, key)
+            if img is None:
+                continue
+            c, (k1, cur) = img
+            c = _times(coef, c)
+            if c:
+                down(sub, S, k1, cur, rest, c)
+
+
+def _walk_terms(model, children, key, coef, ground, out):
+    """The walk for any model: each node carries the LinComb of its
+    (accumulated key, remaining key) pairs."""
+
+    def add(acc, k, v):
+        acc[k] = acc.get(k, 0) + v
+
+    def down(children, mask, state, rest):
+        for S, (end, sub) in children.items():
+            if end is not None:
+                for (kacc, cur), c in state.items():
+                    for k2, c2 in model.product(mask, S, kacc, cur).terms.items():
+                        add(out, k2, _times(c, c2) * end)
+            if sub:
+                rest2 = rest & ~S
+                nxt = {}
+                for (kacc, cur), c in state.items():
+                    for (k1, cur2), c1 in model.coproduct(S, rest2, cur).terms.items():
+                        c1 = _times(c, c1)
+                        for k2, c2 in model.product(mask, S, kacc, k1).terms.items():
+                            add(nxt, (k2, cur2), _times(c1, c2))
+                nxt = {kk: v for kk, v in nxt.items() if v}
+                if nxt:
+                    down(sub, mask | S, nxt, rest2)
+
+    for S, (end, sub) in children.items():
+        if end is not None:
+            add(out, key, coef * end)
+        if sub:
+            rest = ground & ~S
+            state = {pair: _times(coef, c)
+                     for pair, c in model.coproduct(S, rest, key).terms.items()}
+            if state:
+                down(sub, S, state, rest)
 
 
 def psi_map(model, z, n=None):
@@ -138,8 +240,9 @@ def psi_map(model, z, n=None):
     if n is None:
         n = z.n
     basis = model.basis(n)
-    return LinMap(basis, basis,
-                  {k: characteristic_op(model, z, LinComb.term(k)) for k in basis})
+    tree = PrefixTree(model, z)
+    return LinMap(basis, basis, {k: characteristic_op(model, z, LinComb.term(k), tree)
+                                 for k in basis})
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (277 tests) took 139 s on a 2-core machine.  Run
+The whole tier-1 suite (294 tests) took 156 s on a 2-core machine.  Run
 alone, criterion 1 took 23 s: every S_n-equivariant axiom checks one instance
-per orbit once naturality is proved.  Criterion 6 took 10 s, most of it
-building the Sigma degree-5 characteristic operation; its rank takes about
-1 s.
+per orbit once naturality is proved.  Criterion 2 took 10 s, most of it the
+Takeuchi families, one prefix walk per column.  Criterion 6 took 5 s, about
+1 s of it building the Sigma degree-5 characteristic operation and about
+1 s its rank.
 """
 
 from fractions import Fraction

@@ -19,9 +19,10 @@ from species_forge.setcomb import (
     mobius_partition,
     partitions_of,
     popcount,
+    positive_part,
     submasks,
 )
-from species_forge.species import delta_shape, mu_shape
+from species_forge.species import delta_shape, delta_shape_key, mu_shape, mu_shape_key
 from species_forge.titsops import (
     TitsElement,
     characteristic_op,
@@ -93,6 +94,108 @@ def test_characteristic_op_unit_and_factoring():
     for key in Sigma.basis(n):
         got = characteristic_op(Sigma, z, LinComb.term(key))
         assert got == LinComb.term(key)
+
+
+# ---------------------------------------------------------------------------
+# the prefix walk against the shape-by-shape sum
+
+
+def _characteristic_op_by_shapes(model, z, h):
+    """Reference for characteristic_op: for every key of h and every shape F
+    of z, the coproduct along F and then the product along F, each walked
+    from the first block, weighted by z_F and summed in Fractions."""
+    if model.connected and z.dec:
+        z = TitsElement(z.n, z.coeffs.map_keys(positive_part))
+    out = {}
+    for key, c in h.terms.items():
+        for F, a in z.coeffs.terms.items():
+            if model.monomial:
+                img = delta_shape_key(model, F, key, a * c)
+                if img is None:
+                    continue
+                c2, k2 = mu_shape_key(model, F, img[1], img[0])
+                image = {k2: c2}
+            else:
+                image = mu_shape(model, F, delta_shape(model, F, LinComb.term(key))).terms
+                image = {k2: a * c * c2 for k2, c2 in image.items()}
+            for k2, c2 in image.items():
+                out[k2] = out.get(k2, Fraction(0)) + c2
+    return LinComb.wrap({k: v for k, v in out.items() if v})
+
+
+def _oracle_elements(n):
+    """Tits elements of degree n with integral and non-integral coefficients,
+    every Garsia-Reutenauer idempotent and every single composition."""
+    yield h_power(-1, n)
+    yield h_power(Fraction(1, 2), n)
+    yield euler_first(n)
+    if n:
+        yield dynkin(n)
+    for i in range(n):
+        yield pdynkin(i, n)
+    for X in partitions_of(full_mask(n)):
+        yield garsia_reutenauer(X, n)
+    for F in compositions_of(full_mask(n)):
+        yield TitsElement(n, LinComb.term(F))
+
+
+def _oracle_inputs(model, n):
+    """Two sums of several basis keys with non-unit coefficients, and up to
+    degree 3 every basis key on its own (at degree 4 every key for every
+    element would take the test from 9 to 34 s)."""
+    basis = model.basis(n)
+    hs = [LinComb({k: Fraction(i + 1, 3) for i, k in enumerate(basis[::5])}),
+          LinComb({k: (-2) ** i for i, k in enumerate(basis[len(basis) // 2::7])})]
+    if n <= 3:
+        hs += [LinComb.term(k) for k in basis]
+    return hs
+
+
+def _assert_walk_matches_shapes(model, z, hs):
+    for h in hs:
+        got = characteristic_op(model, z, h)
+        assert got == _characteristic_op_by_shapes(model, z, h), (model.name, z, h)
+        assert all(type(v) is Fraction for v in got.terms.values()), (model.name, z, h)
+
+
+@pytest.mark.parametrize("name, nmax", [
+    ("E", 4), ("L", 4), ("Pi", 4), ("G", 4), ("Sigma", 4), ("Sigmaq:2", 4),
+    ("Sigmaq:-1", 4), ("Lq:2/3", 4), ("Lq:0", 4), ("Q:Sigma", 4), ("Q:Pi", 4),
+    ("Q:G", 4), ("dual:L", 3), ("dual:Lq:2/3", 3), ("had:L,Pi", 3),
+    ("had:dual:Pi,L", 3),
+])
+def test_characteristic_op_matches_the_shape_by_shape_sum(name, nmax):
+    model = build_model(name)
+    for n in range(nmax + 1):
+        hs = _oracle_inputs(model, n)
+        for z in _oracle_elements(n):
+            _assert_walk_matches_shapes(model, z, hs)
+        # every column at every degree; psi_map shares one prefix tree
+        # among its columns
+        for z in (h_power(-1, n), euler_first(n)):
+            pm = psi_map(model, z)
+            for k in model.basis(n):
+                assert pm.cols[k] == _characteristic_op_by_shapes(model, z, LinComb.term(k))
+                assert all(type(v) is Fraction for v in pm.cols[k].terms.values())
+
+
+def test_characteristic_op_matches_the_shape_by_shape_sum_on_decompositions():
+    # shapes with empty blocks: their end marks sit on nodes that also have
+    # children, and blocks equal to the remaining set need not end a shape
+    hat = build_model("SigmaHat:3")
+    dual_hat = build_model("dual:SigmaHat:2")  # the walk with LinComb steps
+    for n in range(4):
+        full = full_mask(n)
+        z = TitsElement(n, LinComb({(0, full, 0): 1, (full, 0): -2, (full,): Fraction(1, 3)}),
+                        dec=True)
+        for model in (hat, dual_hat, Sigma):
+            if model is dual_hat and n > 2:
+                continue
+            hs = _oracle_inputs(model, n)
+            for p in range(4):
+                _assert_walk_matches_shapes(model, h_power_dec(p, n), hs)
+            _assert_walk_matches_shapes(model, z, hs)
+            _assert_walk_matches_shapes(model, z + h_power_dec(2, n), hs)
 
 
 def test_h_q_projection_rule():
