@@ -140,6 +140,8 @@ def _closed_G(model, key, n):
 def _closed_Sigma(model, key, n):
     opp = comp_opp(key)
     c0 = model.q ** dist_opp(key) if model.q != 1 else ONE
+    if not c0:  # at q = 0, a key of two or more blocks has antipode 0
+        return LinComb()
     out = {}
     for g in refinements(opp):
         sign = -1 if len(g) % 2 else 1

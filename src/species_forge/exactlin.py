@@ -53,12 +53,14 @@ class LinComb:
         if terms is None:
             self.terms = {}
         else:
-            self.terms = {k: Fraction(v) for k, v in dict(terms).items() if v}
+            self.terms = {k: v if type(v) is Fraction else Fraction(v)
+                          for k, v in dict(terms).items() if v}
 
     @classmethod
-    def term(cls, key, coef=1):
+    def term(cls, key, coef=ONE):
         lc = cls.__new__(cls)
-        coef = Fraction(coef)
+        if type(coef) is not Fraction:
+            coef = Fraction(coef)
         lc.terms = {key: coef} if coef else {}
         return lc
 
@@ -115,7 +117,8 @@ class LinComb:
         return LinComb.wrap({k: -v for k, v in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if not c:
             return LinComb.wrap({})
         return LinComb.wrap({k: c * v for k, v in self.terms.items()})
@@ -171,6 +174,39 @@ def lc_sum(items):
             else:
                 del out[k]
     return LinComb.wrap(out)
+
+
+def integral(terms):
+    """(d, ints): d is the lcm of the denominators of the rational values
+    of `terms`, and `ints` maps each key to its value times d, an int."""
+    d = lcm(*(v.denominator for v in terms.values()))
+    return d, {k: v.numerator * (d // v.denominator) for k, v in terms.items()}
+
+
+def add_part(parts, den, key, num):
+    """Accumulate the int `num` on `key` under the denominator `den` in
+    `parts` {den: {key: num}}."""
+    acc = parts.get(den)
+    if acc is None:
+        acc = parts[den] = {}
+    acc[key] = acc.get(key, 0) + num
+
+
+def lc_from_parts(parts, d=1):
+    """The LinComb of int numerators accumulated per denominator: the sum
+    over `parts` {den: {key: num}} of num / (den * d) times key, with one
+    Fraction per nonzero coefficient."""
+    if len(parts) == 1:
+        (den, acc), = parts.items()
+    else:
+        den = lcm(*parts)
+        acc = {}
+        for e, part in parts.items():
+            m = den // e
+            for k, v in part.items():
+                acc[k] = acc.get(k, 0) + v * m
+    total = den * d
+    return LinComb.wrap({k: Fraction(v, total) for k, v in acc.items() if v})
 
 
 def tensor(*lcs):
@@ -336,8 +372,7 @@ def _rref(rows, limit):
     for row in rows:
         if not row:
             continue
-        den = lcm(*(v.denominator for v in row.values()))
-        row = _primitive({k: v.numerator * (den // v.denominator) for k, v in row.items()})
+        row = _primitive(integral(row)[1])
         while row and (c := min(row)) < limit:
             if c not in pivot_rows:
                 pivot_rows[c] = row

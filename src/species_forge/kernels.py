@@ -24,17 +24,17 @@ def mask_permute(mask, perm):
 
 
 def comp_permute(comp, perm):
-    return tuple(mask_permute(b, perm) for b in comp)
+    return tuple([mask_permute(b, perm) for b in comp])
 
 
 def comp_restrict(comp, smask):
     """Restriction of a composition: nonempty intersections, in order."""
-    return tuple(c for b in comp if (c := b & smask))
+    return tuple([c for b in comp if (c := b & smask)])
 
 
 def dec_restrict(comp, smask):
     """Restriction of a decomposition: empty intersections are kept."""
-    return tuple(b & smask for b in comp)
+    return tuple([b & smask for b in comp])
 
 
 def comp_tits(f, g):

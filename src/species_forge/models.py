@@ -256,10 +256,6 @@ class DecompositionModel(SpeciesModel):
 # Q-basis views: same keys, structure maps in the Q basis
 
 
-def _admissible_comp(key, S):
-    return all((b & S == b) or (b & S == 0) for b in key)
-
-
 def _admissible_graph(key, S, T):
     return key & graphs.edges_between(S, T) == 0
 
@@ -276,9 +272,12 @@ class QCompositionView(CompositionModel):
         self.set_theoretic = False
 
     def coproduct_key(self, S, T, key):
-        if not _admissible_comp(key, S):
+        # a split is admissible when no block meets both S and T, i.e. when
+        # the two restrictions have as many blocks as the key
+        a, b = comp_restrict(key, S), comp_restrict(key, T)
+        if len(a) + len(b) != len(key):
             return None
-        return super().coproduct_key(S, T, key)
+        return ONE, (a, b)
 
 
 class QPartitionView(PartitionModel):
@@ -290,9 +289,10 @@ class QPartitionView(PartitionModel):
     set_theoretic = False
 
     def coproduct_key(self, S, T, key):
-        if not _admissible_comp(key, S):
+        a, b = partition_restrict(key, S), partition_restrict(key, T)
+        if len(a) + len(b) != len(key):
             return None
-        return super().coproduct_key(S, T, key)
+        return ONE, (a, b)
 
 
 class QGraphView(GraphModel):

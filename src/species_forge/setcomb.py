@@ -148,7 +148,7 @@ def support(f):
 
 
 def partition_restrict(x, smask):
-    return partition_sort(c for b in x if (c := b & smask))
+    return partition_sort([c for b in x if (c := b & smask)])
 
 
 def partition_refines(x, y):

@@ -19,7 +19,7 @@ import functools
 import itertools
 from math import prod
 
-from .exactlin import ONE, ZERO, LinComb, LinMap, lc_sum, tensor
+from .exactlin import ONE, ZERO, LinComb, LinMap, add_part, integral, lc_from_parts, lc_sum, tensor
 from .kernels import comp_restrict, dist, mask_permute, popcount, tits_perm
 from .setcomb import (
     compositions_of,
@@ -948,32 +948,62 @@ def component_map(model, linmap, mask):
     return LinMap(basis, basis, cols)
 
 
+def _int_columns(linmap):
+    """Each column of `linmap` as (d, ((key, int), ...)): its coefficients
+    scaled to ints by d, the lcm of their denominators."""
+    out = {}
+    for k, col in linmap.cols.items():
+        d, ints = integral(col.terms)
+        out[k] = (d, tuple(ints.items()))
+    return out
+
+
 def convolve(model, f_by_degree, g_by_degree, n):
     """Convolution product of two endomorphism families at degree n.
 
     Each argument maps degree m to a LinMap on basis(m) for 0 <= m <= n.
+    The columns of the transported component maps are read once per split
+    (S, T), as ints over a common denominator; each output column
+    accumulates int numerators per (key, denominator) and holds one
+    Fraction per key at the end.
     """
     full = full_mask(n)
     basis = model.basis(n)
-    cols = {k: {} for k in basis}
+    parts = {k: {} for k in basis}
+    monomial, product_key = model.monomial, model.product_key
     for S in submasks(full):
         T = full ^ S
-        fS = component_map(model, f_by_degree[popcount(S)], S)
-        gT = component_map(model, g_by_degree[popcount(T)], T)
+        fS = _int_columns(component_map(model, f_by_degree[popcount(S)], S))
+        gT = _int_columns(component_map(model, g_by_degree[popcount(T)], T))
         for k in basis:
-            out = cols[k]
-            for (a, b), c in model.coproduct(S, T, k).terms.items():
-                gb = gT(b).terms
-                for ka, ca in fS(a).terms.items():
-                    for kb, cb in gb.items():
-                        cab = c * ca * cb
-                        for k2, v in model.product(S, T, ka, kb).terms.items():
-                            w = out.get(k2, ZERO) + cab * v
-                            if w:
-                                out[k2] = w
+            acc = parts[k]
+            if monomial:
+                img = model.coproduct_key(S, T, k)
+                cops = () if img is None else (img,)
+            else:
+                cops = [(c, pair) for pair, c in model.coproduct(S, T, k).terms.items()]
+            for c, (a, b) in cops:
+                da, fa = fS[a]
+                db, gb = gT[b]
+                if not (fa and gb):
+                    continue
+                den = c.denominator * da * db
+                bucket = acc.get(den)
+                if bucket is None:
+                    bucket = acc[den] = {}
+                for ka, na in fa:
+                    na *= c.numerator
+                    for kb, nb in gb:
+                        if monomial:
+                            c2, k2 = product_key(S, T, ka, kb)
+                            if c2 is ONE:
+                                bucket[k2] = bucket.get(k2, 0) + na * nb
                             else:
-                                del out[k2]
-    return LinMap(basis, basis, {k: LinComb.wrap(out) for k, out in cols.items()})
+                                add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
+                        else:
+                            for k2, c2 in model.product(S, T, ka, kb).terms.items():
+                                add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
+    return LinMap(basis, basis, {k: lc_from_parts(p) for k, p in parts.items()})
 
 
 def identity_family(model, nmax):

@@ -7,9 +7,9 @@ realizing it.
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .exactlin import ONE, ZERO, LinComb, LinMap, lc_sum, tensor
+from .exactlin import ONE, ZERO, LinComb, LinMap, add_part, integral, lc_from_parts, lc_sum, tensor
 from .kernels import comp_tits, dec_tits, popcount
 from .models import _sigma_Q_to_H
 from .setcomb import (
@@ -73,19 +73,19 @@ def tits_unit(n, dec=False):
 
 
 def tits_multiply(z, w):
-    """Bilinear extension of the Tits product."""
+    """Bilinear extension of the Tits product, on both factors scaled to
+    ints and divided once per output term."""
     z._check(w)
     prod = dec_tits if z.dec else comp_tits
+    dz, zs = integral(z.coeffs.terms)
+    dw, ws = integral(w.coeffs.terms)
+    ws = list(ws.items())
     out = {}
-    for f, a in z.coeffs.terms.items():
-        for g, b in w.coeffs.terms.items():
+    for f, a in zs.items():
+        for g, b in ws:
             k = prod(f, g)
-            v = out.get(k, ZERO) + a * b
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return TitsElement(z.n, LinComb.wrap(out), z.dec)
+            out[k] = out.get(k, 0) + a * b
+    return TitsElement(z.n, lc_from_parts({1: out}, dz * dw), z.dec)
 
 
 # ---------------------------------------------------------------------------
@@ -109,27 +109,14 @@ class PrefixTree:
     def __init__(self, model, z):
         if model.connected and z.dec:
             z = TitsElement(z.n, z.coeffs.map_keys(positive_part))
-        terms = z.coeffs.terms
-        self.denominator = lcm(*(a.denominator for a in terms.values()))
+        self.denominator, coeffs = integral(z.coeffs.terms)
         self.ground = full_mask(z.n)
         self.root = [None, {}]
-        for F, a in terms.items():
+        for F, a in coeffs.items():
             node = self.root
             for S in F:
                 node = node[1].setdefault(S, [None, {}])
-            node[0] = a.numerator * (self.denominator // a.denominator)
-
-
-def _times(coef, c):
-    """coef * c, with an integral c as an int, and no work when c is 1 (the
-    models return the shared constant ONE for most of their coefficients)."""
-    if c is ONE:
-        return coef
-    if c.denominator == 1:
-        c = c.numerator
-        if c == 1:
-            return coef
-    return coef * c
+            node[0] = a
 
 
 def characteristic_op(model, z, h, tree=None):
@@ -141,98 +128,128 @@ def characteristic_op(model, z, h, tree=None):
     remaining set R takes the coproduct (S, R - S) of the remaining key and
     the left-nested product of its first factor onto the accumulated key,
     exactly the steps `delta_shape` and `mu_shape` take along each shape
-    through that prefix.  Integral coefficients stay ints inside the walk;
-    the result is divided by the tree's denominator once per output key.
+    through that prefix.  Each path carries its coefficient as an int
+    numerator and denominator, and the walk accumulates ints per (output
+    key, denominator): the result holds one Fraction per output key.
     """
     if tree is None:
         tree = PrefixTree(model, z)
     walk = _walk_keys if model.monomial else _walk_terms
-    out = {}
+    parts = {}
     (end, children), ground = tree.root, tree.ground
     for key, c in h.terms.items():
-        c = _times(1, c)  # an int when integral
+        num, den = c.numerator, c.denominator
         if end is not None:
             e = model.counit(key)
             if e:
                 for ku, cu in model.unit().terms.items():
-                    out[ku] = out.get(ku, 0) + _times(_times(c, e), cu) * end
-        walk(model, children, key, c, ground, out)
-    d = tree.denominator
-    return LinComb.wrap({k: (Fraction(v, d) if type(v) is int else v / d)
-                         for k, v in out.items() if v})
+                    add_part(parts, den * e.denominator * cu.denominator, ku,
+                             num * e.numerator * cu.numerator * end)
+        walk(model, children, key, num, den, ground, parts)
+    return lc_from_parts(parts, tree.denominator)
 
 
-def _walk_keys(model, children, key, coef, ground, out):
-    """The walk for a monomial model: one key and coefficient per path."""
+def _walk_keys(model, children, key, num, den, ground, parts):
+    """The walk for a monomial model: one key and coefficient per path.
+
+    The coproducts of one column are memoized on their arguments: all
+    prefixes with the same union reach the same remaining set and key, so
+    at most 3^n coproducts are taken (one per block and disjoint remaining
+    set), against one per inner node of the tree.  The memo lives for this
+    column only: `_down_keys` is a module-level function, because a nested
+    function that calls itself sits in a reference cycle, which would keep
+    the memo alive until the next garbage collection."""
     cop = model.coproduct_key
-    prod = model.product_key
-
-    def down(children, mask, kacc, cur, rest, coef):
-        for S, (end, sub) in children.items():
-            if end is not None:
-                c, k2 = prod(mask, S, kacc, cur)
-                out[k2] = out.get(k2, 0) + (coef if c is ONE else _times(coef, c)) * end
-            if sub:
-                rest2 = rest & ~S
-                img = cop(S, rest2, cur)
-                if img is None:
-                    continue
-                c, (k1, cur2) = img
-                c2, k2 = prod(mask, S, kacc, k1)
-                c = coef if c is ONE else _times(coef, c)
-                if c2 is not ONE:
-                    c = _times(c, c2)
-                if c:  # a degenerate braiding parameter can kill the path
-                    down(sub, mask | S, k2, cur2, rest2, c)
-
+    ctx = (cop, model.product_key, {}, parts)
     for S, (end, sub) in children.items():
         if end is not None:
-            out[key] = out.get(key, 0) + coef * end
+            add_part(parts, den, key, num * end)
         if sub:
             rest = ground & ~S
             img = cop(S, rest, key)
             if img is None:
                 continue
             c, (k1, cur) = img
-            c = _times(coef, c)
-            if c:
-                down(sub, S, k1, cur, rest, c)
+            num1 = num * c.numerator
+            if num1:  # a degenerate braiding parameter can kill the path
+                _down_keys(ctx, sub, S, k1, cur, rest, num1, den * c.denominator)
 
 
-def _walk_terms(model, children, key, coef, ground, out):
-    """The walk for any model: each node carries the LinComb of its
-    (accumulated key, remaining key) pairs."""
-
-    def add(acc, k, v):
-        acc[k] = acc.get(k, 0) + v
-
-    def down(children, mask, state, rest):
-        for S, (end, sub) in children.items():
-            if end is not None:
-                for (kacc, cur), c in state.items():
-                    for k2, c2 in model.product(mask, S, kacc, cur).terms.items():
-                        add(out, k2, _times(c, c2) * end)
-            if sub:
-                rest2 = rest & ~S
-                nxt = {}
-                for (kacc, cur), c in state.items():
-                    for (k1, cur2), c1 in model.coproduct(S, rest2, cur).terms.items():
-                        c1 = _times(c, c1)
-                        for k2, c2 in model.product(mask, S, kacc, k1).terms.items():
-                            add(nxt, (k2, cur2), _times(c1, c2))
-                nxt = {kk: v for kk, v in nxt.items() if v}
-                if nxt:
-                    down(sub, mask | S, nxt, rest2)
-
+def _down_keys(ctx, children, mask, kacc, cur, rest, num, den):
+    cop, prod, memo, parts = ctx
     for S, (end, sub) in children.items():
         if end is not None:
-            add(out, key, coef * end)
+            c, k2 = prod(mask, S, kacc, cur)
+            if c is ONE:
+                d, v = den, num * end
+            else:
+                d, v = den * c.denominator, num * c.numerator * end
+            acc = parts.get(d)
+            if acc is None:
+                acc = parts[d] = {}
+            acc[k2] = acc.get(k2, 0) + v
+        if sub:
+            rest2 = rest & ~S
+            mk = (S, rest2, cur)
+            img = memo.get(mk, memo)
+            if img is memo:
+                img = cop(S, rest2, cur)
+                if img is not None:
+                    c, (k1, cur2) = img
+                    img = (c.numerator, c.denominator, k1, cur2)
+                memo[mk] = img
+            if img is None:
+                continue
+            cn, cd, k1, cur2 = img
+            c, k2 = prod(mask, S, kacc, k1)
+            num2, den2 = num * cn, den * cd
+            if c is not ONE:
+                num2, den2 = num2 * c.numerator, den2 * c.denominator
+            if num2:
+                _down_keys(ctx, sub, mask | S, k2, cur2, rest2, num2, den2)
+
+
+def _walk_terms(model, children, key, num, den, ground, parts):
+    """The walk for any model: each node carries its (accumulated key,
+    remaining key, denominator) triples with int numerators.  The
+    coproducts of one column are memoized as in `_walk_keys`."""
+    memo = {}
+    for S, (end, sub) in children.items():
+        if end is not None:
+            add_part(parts, den, key, num * end)
         if sub:
             rest = ground & ~S
-            state = {pair: _times(coef, c)
-                     for pair, c in model.coproduct(S, rest, key).terms.items()}
+            state = {}
+            for (k1, cur), c in model.coproduct(S, rest, key).terms.items():
+                triple = (k1, cur, den * c.denominator)
+                state[triple] = state.get(triple, 0) + num * c.numerator
+            state = {t: v for t, v in state.items() if v}
             if state:
-                down(sub, S, state, rest)
+                _down_terms(model, memo, parts, sub, S, state, rest)
+
+
+def _down_terms(model, memo, parts, children, mask, state, rest):
+    for S, (end, sub) in children.items():
+        if end is not None:
+            for (kacc, cur, d), v in state.items():
+                for k2, c in model.product(mask, S, kacc, cur).terms.items():
+                    add_part(parts, d * c.denominator, k2, v * c.numerator * end)
+        if sub:
+            rest2 = rest & ~S
+            nxt = {}
+            for (kacc, cur, d), v in state.items():
+                mk = (S, rest2, cur)
+                cops = memo.get(mk)
+                if cops is None:
+                    cops = memo[mk] = model.coproduct(S, rest2, cur).terms
+                for (k1, cur2), c1 in cops.items():
+                    v1, d1 = v * c1.numerator, d * c1.denominator
+                    for k2, c2 in model.product(mask, S, kacc, k1).terms.items():
+                        triple = (k2, cur2, d1 * c2.denominator)
+                        nxt[triple] = nxt.get(triple, 0) + v1 * c2.numerator
+            nxt = {t: v for t, v in nxt.items() if v}
+            if nxt:
+                _down_terms(model, memo, parts, sub, mask | S, nxt, rest2)
 
 
 def psi_map(model, z, n=None):

@@ -2,9 +2,14 @@
 the one-sided recursions, and the closed forms; convolution identities;
 sign behavior on primitives; the cancellation-freeness audit for graphs."""
 
+import contextlib
+import io
+from fractions import Fraction
+
 import pytest
 
 from species_forge import build_model
+from species_forge.cli import main
 from species_forge.antipode import (
     antipode,
     antipode_family,
@@ -15,11 +20,17 @@ from species_forge.antipode import (
     verify_antipode,
 )
 from species_forge.exactlin import LinComb, LinMap, tensor
-from species_forge.models import basis_change, q_view
+from species_forge.models import LinearOrderModel, basis_change, q_view
 from species_forge.kernels import popcount
 from species_forge.setcomb import decode_comp, decode_partition, full_mask, submasks
-from species_forge.species import NotHopfError, component_map, mu_shape
-from species_forge.titsops import primitive_part
+from species_forge.species import (
+    NotHopfError,
+    component_map,
+    convolve,
+    identity_family,
+    mu_shape,
+)
+from species_forge.titsops import euler_first, primitive_part, psi_map
 
 E = build_model("E")
 L = build_model("L")
@@ -156,3 +167,71 @@ def test_degree_zero_antipode_is_identity():
     for name in MODELS_N3:
         model = build_model(name)
         assert antipode(model, 0) == LinMap.identity(model.basis(0))
+
+
+def test_closed_forms_at_q_zero_have_no_zero_coefficients():
+    for name in ("Sigmaq:0", "Lq:0"):
+        model = build_model(name)
+        fam = antipode_family(model, 4, "closed")
+        for n in range(5):
+            for k in model.basis(n):
+                assert all(fam[n](k).terms.values()), (name, k)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main("antipode Sigmaq:0 3 H takeuchi --cross-check".split()) == 0
+
+
+# ---------------------------------------------------------------------------
+# integer convolution against the LinComb reference
+
+
+def _convolve_by_lincombs(model, f_by_degree, g_by_degree, n):
+    """Reference for convolve: every coproduct, column and product image as
+    a LinComb, and every coefficient accumulated in Fractions."""
+    full = full_mask(n)
+    basis = model.basis(n)
+    cols = {k: {} for k in basis}
+    for S in submasks(full):
+        T = full ^ S
+        fS = component_map(model, f_by_degree[popcount(S)], S)
+        gT = component_map(model, g_by_degree[popcount(T)], T)
+        for k in basis:
+            out = cols[k]
+            for (a, b), c in model.coproduct(S, T, k).terms.items():
+                for ka, ca in fS(a).terms.items():
+                    for kb, cb in gT(b).terms.items():
+                        for k2, v in model.product(S, T, ka, kb).terms.items():
+                            out[k2] = out.get(k2, Fraction(0)) + c * ca * cb * v
+    return LinMap(basis, basis, {k: LinComb.wrap({k2: v for k2, v in out.items() if v})
+                                 for k, out in cols.items()})
+
+
+class ThirdProductL(LinearOrderModel):
+    """Linear orders whose product carries 1/3 when the left block is the
+    larger: not a bimonoid, but a monomial model with non-integral product
+    coefficients, which no registered model has."""
+
+    name = "ThirdProductL"
+
+    def product_key(self, S, T, x, y):
+        return (Fraction(1, 3) if popcount(S) > popcount(T) else 1), x + y
+
+
+@pytest.mark.parametrize("name, nmax", [
+    ("E", 4), ("L", 4), ("Pi", 4), ("G", 4), ("Sigma", 4), ("Sigmaq:-1", 4),
+    ("Lq:2/3", 4), ("Lq:0", 4), ("Q:Sigma", 4), ("Q:Pi", 4), ("dual:L", 3),
+    ("dual:Lq:2/3", 3), ("had:L,Pi", 3), ("ThirdProductL", 3),
+])
+def test_convolve_matches_the_lincomb_sum(name, nmax):
+    model = ThirdProductL() if name == "ThirdProductL" else build_model(name)
+    families = {
+        "id": identity_family(model, nmax),
+        "S": antipode_family(model, nmax),
+        "euler": {m: psi_map(model, euler_first(m), m) for m in range(nmax + 1)},
+    }
+    for n in range(nmax + 1):
+        for f_name, f in families.items():
+            for g_name, g in families.items():
+                got = convolve(model, f, g, n)
+                assert got == _convolve_by_lincombs(model, f, g, n), (name, n, f_name, g_name)
+                assert all(type(v) is Fraction
+                           for col in got.cols.values() for v in col.terms.values())

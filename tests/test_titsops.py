@@ -11,6 +11,7 @@ from species_forge import build_model
 from species_forge.antipode import antipode_family
 from species_forge.exactlin import LinComb, LinMap, tensor
 from species_forge.models import basis_change
+from species_forge.kernels import dec_tits
 from species_forge.setcomb import (
     comp_tits,
     compositions_of,
@@ -69,6 +70,35 @@ def test_tits_multiply_unit_and_idempotence():
         assert tits_multiply(hf, hf) == hf
         assert tits_multiply(tits_unit(n), hf) == hf
         assert tits_multiply(hf, tits_unit(n)) == hf
+
+
+def _tits_multiply_by_terms(z, w):
+    """Reference for tits_multiply: every term pair multiplied and summed in
+    Fractions."""
+    prod = dec_tits if z.dec else comp_tits
+    out = {}
+    for f, a in z.coeffs.terms.items():
+        for g, b in w.coeffs.terms.items():
+            k = prod(f, g)
+            out[k] = out.get(k, Fraction(0)) + a * b
+    return TitsElement(z.n, LinComb.wrap({k: v for k, v in out.items() if v}), z.dec)
+
+
+def test_tits_multiply_matches_the_term_by_term_product():
+    for n in range(5):
+        full = full_mask(n)
+        comps = [euler_first(n), h_power(Fraction(1, 2), n)]
+        comps += [garsia_reutenauer(X, n) for X in partitions_of(full)]
+        decs = [h_power_dec(p, n) for p in range(4)]
+        decs.append(TitsElement(n, LinComb({(0, full, 0): 1, (full, 0): -2,
+                                            (full,): Fraction(1, 3)}), dec=True))
+        # at degree 4 only the two elements on every composition go first
+        pairs = [(z, w) for z in (comps if n < 4 else comps[:2]) for w in comps]
+        pairs += [(z, w) for z in decs for w in decs]
+        for z, w in pairs:
+            got = tits_multiply(z, w)
+            assert got == _tits_multiply_by_terms(z, w), (z, w)
+            assert all(type(v) is Fraction for v in got.coeffs.terms.values())
 
 
 def test_characteristic_op_is_tits_product_on_sigma():
