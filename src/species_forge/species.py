@@ -988,16 +988,13 @@ def convolve(model, f_by_degree, g_by_degree, n):
                 if not (fa and gb):
                     continue
                 den = c.denominator * da * db
-                bucket = acc.get(den)
-                if bucket is None:
-                    bucket = acc[den] = {}
                 for ka, na in fa:
                     na *= c.numerator
                     for kb, nb in gb:
                         if monomial:
                             c2, k2 = product_key(S, T, ka, kb)
                             if c2 is ONE:
-                                bucket[k2] = bucket.get(k2, 0) + na * nb
+                                add_part(acc, den, k2, na * nb)
                             else:
                                 add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
                         else:

@@ -128,9 +128,10 @@ def characteristic_op(model, z, h, tree=None):
     remaining set R takes the coproduct (S, R - S) of the remaining key and
     the left-nested product of its first factor onto the accumulated key,
     exactly the steps `delta_shape` and `mu_shape` take along each shape
-    through that prefix.  Each path carries its coefficient as an int
-    numerator and denominator, and the walk accumulates ints per (output
-    key, denominator): the result holds one Fraction per output key.
+    through that prefix.  On monomial models each path carries its
+    coefficient as an int numerator and denominator; on any model the walk
+    accumulates ints per (output key, denominator), so the result holds one
+    Fraction per output key.
     """
     if tree is None:
         tree = PrefixTree(model, z)
@@ -181,13 +182,9 @@ def _down_keys(ctx, children, mask, kacc, cur, rest, num, den):
         if end is not None:
             c, k2 = prod(mask, S, kacc, cur)
             if c is ONE:
-                d, v = den, num * end
+                add_part(parts, den, k2, num * end)
             else:
-                d, v = den * c.denominator, num * c.numerator * end
-            acc = parts.get(d)
-            if acc is None:
-                acc = parts[d] = {}
-            acc[k2] = acc.get(k2, 0) + v
+                add_part(parts, den * c.denominator, k2, num * c.numerator * end)
         if sub:
             rest2 = rest & ~S
             mk = (S, rest2, cur)
@@ -209,47 +206,52 @@ def _down_keys(ctx, children, mask, kacc, cur, rest, num, den):
                 _down_keys(ctx, sub, mask | S, k2, cur2, rest2, num2, den2)
 
 
+def _times(coef, c):
+    """coef * c, with an integral c as an int, and no work when c is 1."""
+    if c is ONE:
+        return coef
+    if c.denominator == 1:
+        c = c.numerator
+        if c == 1:
+            return coef
+    return coef * c
+
+
 def _walk_terms(model, children, key, num, den, ground, parts):
-    """The walk for any model: each node carries its (accumulated key,
-    remaining key, denominator) triples with int numerators.  The
-    coproducts of one column are memoized as in `_walk_keys`."""
-    memo = {}
+    """The walk for any model: each node carries the LinComb of its
+    (accumulated key, remaining key) pairs, an integral coefficient as an
+    int."""
+    coef = num if den == 1 else Fraction(num, den)
     for S, (end, sub) in children.items():
         if end is not None:
             add_part(parts, den, key, num * end)
         if sub:
             rest = ground & ~S
-            state = {}
-            for (k1, cur), c in model.coproduct(S, rest, key).terms.items():
-                triple = (k1, cur, den * c.denominator)
-                state[triple] = state.get(triple, 0) + num * c.numerator
-            state = {t: v for t, v in state.items() if v}
+            state = {pair: _times(coef, c)
+                     for pair, c in model.coproduct(S, rest, key).terms.items()}
             if state:
-                _down_terms(model, memo, parts, sub, S, state, rest)
+                _down_terms(model, parts, sub, S, state, rest)
 
 
-def _down_terms(model, memo, parts, children, mask, state, rest):
+def _down_terms(model, parts, children, mask, state, rest):
     for S, (end, sub) in children.items():
         if end is not None:
-            for (kacc, cur, d), v in state.items():
-                for k2, c in model.product(mask, S, kacc, cur).terms.items():
-                    add_part(parts, d * c.denominator, k2, v * c.numerator * end)
+            for (kacc, cur), c in state.items():
+                for k2, c2 in model.product(mask, S, kacc, cur).terms.items():
+                    v = _times(c, c2) * end
+                    add_part(parts, v.denominator, k2, v.numerator)
         if sub:
             rest2 = rest & ~S
             nxt = {}
-            for (kacc, cur, d), v in state.items():
-                mk = (S, rest2, cur)
-                cops = memo.get(mk)
-                if cops is None:
-                    cops = memo[mk] = model.coproduct(S, rest2, cur).terms
-                for (k1, cur2), c1 in cops.items():
-                    v1, d1 = v * c1.numerator, d * c1.denominator
+            for (kacc, cur), c in state.items():
+                for (k1, cur2), c1 in model.coproduct(S, rest2, cur).terms.items():
+                    c1 = _times(c, c1)
                     for k2, c2 in model.product(mask, S, kacc, k1).terms.items():
-                        triple = (k2, cur2, d1 * c2.denominator)
-                        nxt[triple] = nxt.get(triple, 0) + v1 * c2.numerator
-            nxt = {t: v for t, v in nxt.items() if v}
+                        pair = (k2, cur2)
+                        nxt[pair] = nxt.get(pair, 0) + _times(c1, c2)
+            nxt = {pair: v for pair, v in nxt.items() if v}
             if nxt:
-                _down_terms(model, memo, parts, sub, mask | S, nxt, rest2)
+                _down_terms(model, parts, sub, mask | S, nxt, rest2)
 
 
 def psi_map(model, z, n=None):

@@ -2,12 +2,12 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (310 tests) took 124 s on a 2-core machine.  In
-that run criterion 1 took 16 s: every S_n-equivariant axiom checks one
-instance per orbit once naturality is proved.  Criterion 2 took 4 s, the
+The whole tier-1 suite (310 tests) took 105 s on a 2-core machine.  In
+that run criterion 1 took 13 s: every S_n-equivariant axiom checks one
+instance per orbit once naturality is proved.  Criterion 2 took under 4 s, the
 Takeuchi families (one prefix walk per column) and the convolutions of the
 Milnor-Moore recursions and `verify_antipode`, all accumulating ints.
-Criterion 6 took 5 s, about 1 s of it building the Sigma degree-5
+Criterion 6 took under 4 s, about 1 s of it building the Sigma degree-5
 characteristic operation and about 1 s its rank.
 """
 
