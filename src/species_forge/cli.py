@@ -87,18 +87,23 @@ def key_encoder(model, n):
     return repr
 
 
+def _encoded_terms(lc, enc):
+    """(encoded key, coefficient) pairs sorted by the encoded key, each key
+    encoded once."""
+    return sorted(((enc(k), c) for k, c in lc.terms.items()), key=lambda kv: kv[0])
+
+
 def lincomb_json(lc, enc):
-    return {enc(k): rational_str(c) for k, c in
-            sorted(lc.terms.items(), key=lambda kv: enc(kv[0]))}
+    return {label: rational_str(c) for label, c in _encoded_terms(lc, enc)}
 
 
 def lincomb_text(lc, enc):
     if not lc.terms:
         return "0"
     bits = []
-    for k, c in sorted(lc.terms.items(), key=lambda kv: enc(kv[0])):
+    for label, c in _encoded_terms(lc, enc):
         coef = rational_str(c)
-        label = enc(k) or "()"
+        label = label or "()"
         if coef == "1":
             bits.append(f"+ {label}")
         elif coef == "-1":

@@ -935,8 +935,10 @@ def component_map(model, linmap, mask):
         raise ValueError("expected an endomorphism on the standard component")
     if mask == full_mask(m):
         return linmap
-    perm = labels  # old label i -> labels[i]
     basis = model.basis_on(mask)
+    if all(len(col.terms) == 1 and col.terms.get(k) == 1 for k, col in linmap.cols.items()):
+        return LinMap.identity(basis)  # the identity transports to itself
+    perm = labels  # old label i -> labels[i]
     # relabel down, apply, relabel up
     down = [0] * (max(labels) + 1 if labels else 0)
     for i, lab in enumerate(labels):

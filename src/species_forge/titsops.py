@@ -7,7 +7,7 @@ realizing it.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .exactlin import ONE, ZERO, LinComb, LinMap, add_part, integral, lc_from_parts, lc_sum, tensor
 from .kernels import comp_tits, dec_tits, popcount
@@ -93,175 +93,175 @@ def tits_multiply(z, w):
 
 
 class PrefixTree:
-    """The support of a Tits element as a tree of its shapes' prefixes.
+    """The support of a Tits element as a tree of its shapes' prefixes, in
+    which subtrees equal up to an integer factor are stored once.
 
-    A node is a pair [end, children].  `end` is the coefficient of the
-    shape that ends at the node, or None where no shape does; the node of
-    a shape is marked even when it also has children, as with the empty
-    trailing blocks of a decomposition.  `children` maps the next block to
-    its node.  The coefficients are z's scaled by `denominator`, the lcm of
-    their denominators, so they are ints; `ground` is the union of the
-    blocks of every shape.
+    `nodes[i]` is (end, edges): `end` is the coefficient of the shape that
+    ends at the node (0 where none does; a node with edges may end a shape,
+    as with the empty trailing blocks of a decomposition), and each edge
+    (block, factor, child) stands for `factor` times the subtree of `child`.
+    Children are interned before their parents, so a child's index is below
+    its parent's and `root` is the last node.  z is `factor / denominator`
+    times the root's shapes, all coefficients ints; `ground` is the union of
+    the blocks of every shape.  Under a prefix, the shapes of h_power(-1, n)
+    and dynkin(n) depend only on the labels the prefix has used, up to sign,
+    so their trees have 2^n nodes.
     """
 
-    __slots__ = ("root", "denominator", "ground")
+    __slots__ = ("nodes", "root", "factor", "denominator", "ground")
 
     def __init__(self, model, z):
         if model.connected and z.dec:
             z = TitsElement(z.n, z.coeffs.map_keys(positive_part))
         self.denominator, coeffs = integral(z.coeffs.terms)
         self.ground = full_mask(z.n)
-        self.root = [None, {}]
+        trie = [0, {}]
         for F, a in coeffs.items():
-            node = self.root
+            node = trie
             for S in F:
-                node = node[1].setdefault(S, [None, {}])
+                node = node[1].setdefault(S, [0, {}])
             node[0] = a
+        self.nodes = []
+        self.factor, self.root = self._intern(trie, {})
+
+    def _intern(self, trie, index):
+        """(factor, node) with `factor` times the subtree of `node` equal to
+        `trie`: its end and edge factors divided by their gcd, the first of
+        them made positive."""
+        end, children = trie
+        edges = sorted((S,) + self._intern(sub, index) for S, sub in children.items())
+        g = gcd(end, *(f for _, f, _ in edges)) or 1  # the tree of z = 0
+        if (end or (edges[0][1] if edges else 0)) < 0:
+            g = -g
+        key = (end // g, tuple((S, f // g, c) for S, f, c in edges))
+        if key not in index:
+            index[key] = len(self.nodes)
+            self.nodes.append(key)
+        return g, index[key]
 
 
-def characteristic_op(model, z, h, tree=None):
-    """z acting on h in model[n] as the sum over z's shapes F of z_F times
-    the product along F of the coproduct along F.
+def _structure_maps(model):
+    """The coproduct and the product of `model` as (coefficient, image)
+    pairs."""
+    if model.monomial:
+        cop, prod = model.coproduct_key, model.product_key
+        return ((lambda S, T, key: () if (img := cop(S, T, key)) is None else (img,)),
+                (lambda S, T, x, y: (prod(S, T, x, y),)))
+    return ((lambda S, T, key: [(c, p) for p, c in model.coproduct(S, T, key).terms.items()]),
+            (lambda S, T, x, y: [(c, k) for k, c in model.product(S, T, x, y).terms.items()]))
 
-    One depth-first walk over z's prefix tree (`tree`, when the caller has
-    already built it) serves every shape: a node with block S over the
-    remaining set R takes the coproduct (S, R - S) of the remaining key and
-    the left-nested product of its first factor onto the accumulated key,
-    exactly the steps `delta_shape` and `mu_shape` take along each shape
-    through that prefix.  On monomial models each path carries its
-    coefficient as an int numerator and denominator; on any model the walk
-    accumulates ints per (output key, denominator), so the result holds one
-    Fraction per output key.
+
+def _merge(states, key, den, vec, m):
+    """Add m / den times the int vector `vec` to the state `key` of
+    `states`, a [denominator, {column: numerator}] pair."""
+    if not m:  # a degenerate braiding parameter can kill the path
+        return
+    st = states.get(key)
+    if st is None:
+        states[key] = [den, {i: v * m for i, v in vec.items()}]
+        return
+    d, acc = st
+    if d != den:
+        common = lcm(d, den)
+        if common != d:
+            s = common // d
+            for i in acc:
+                acc[i] *= s
+            st[0] = common
+        m *= common // den
+    for i, v in vec.items():
+        acc[i] = acc.get(i, 0) + v * m
+
+
+def _columns(model, z, seeds, width):
+    """The characteristic operation of z on `width` columns at once.
+
+    `seeds` maps each input key to [denominator, {column: numerator}].  A
+    walk state is (node, accumulated key, remaining key), with int
+    numerators per column over one denominator; equal states are merged
+    across paths and columns, so a term that cancels is dropped at the
+    prefix where it cancels.  An edge with block S over the remaining set R
+    takes the coproduct (S, R - S) of the remaining key and the product of
+    its first factor onto the accumulated key, the steps `delta_shape` and
+    `mu_shape` take along every shape through the prefix.  States go in
+    increasing order of their union U (the labels the prefix has used), and
+    each union's states and coproduct memo are dropped once it is done.  An
+    empty block keeps U, so within a union the nodes go in decreasing index,
+    children after parents.  One LinComb per column, one Fraction per
+    coefficient.
     """
-    if tree is None:
-        tree = PrefixTree(model, z)
-    walk = _walk_keys if model.monomial else _walk_terms
-    parts = {}
-    (end, children), ground = tree.root, tree.ground
-    for key, c in h.terms.items():
-        num, den = c.numerator, c.denominator
-        if end is not None:
+    tree = PrefixTree(model, z)
+    nodes, ground = tree.nodes, tree.ground
+    coproducts, products = _structure_maps(model)
+    out, pending = {}, {}
+    end, edges = nodes[tree.root]
+    for key, (den, vec) in seeds.items():
+        if end:  # the empty shape: the counit, then the unit
             e = model.counit(key)
-            if e:
-                for ku, cu in model.unit().terms.items():
-                    add_part(parts, den * e.denominator * cu.denominator, ku,
-                             num * e.numerator * cu.numerator * end)
-        walk(model, children, key, num, den, ground, parts)
-    return lc_from_parts(parts, tree.denominator)
+            for ku, cu in (model.unit().terms.items() if e else ()):
+                c = e * cu * end
+                _merge(out, ku, den * c.denominator, vec, c.numerator)
+        for S, f, child in edges:
+            cend, cedges = nodes[child]
+            if cend:
+                _merge(out, key, den, vec, f * cend)
+            if cedges:
+                states = pending.setdefault(S, {}).setdefault(child, {})
+                for c, (k1, cur) in coproducts(S, ground & ~S, key):
+                    _merge(states, (k1, cur), den * c.denominator, vec, f * c.numerator)
+    for U in range(ground + 1):
+        level = pending.pop(U, None)
+        if level is None:
+            continue
+        rest, memo = ground & ~U, {}
+        while level:
+            node = max(level)
+            edges = nodes[node][1]
+            for (kacc, cur), (den, vec) in level.pop(node).items():
+                if 0 in vec.values():
+                    vec = {i: v for i, v in vec.items() if v}
+                    if not vec:
+                        continue
+                for S, f, child in edges:
+                    cend, cedges = nodes[child]
+                    if cend:
+                        for c, k2 in products(U, S, kacc, cur):
+                            _merge(out, k2, den * c.denominator, vec, f * cend * c.numerator)
+                    if not cedges:
+                        continue
+                    img = memo.get((S, cur))
+                    if img is None:
+                        img = memo[S, cur] = [(c.numerator, c.denominator, k1, cur2) for c, (k1, cur2)
+                                              in coproducts(S, rest & ~S, cur)]
+                    states = (pending.setdefault(U | S, {}) if S else level).setdefault(child, {})
+                    for cn, cd, k1, cur2 in img:
+                        for c, k2 in products(U, S, kacc, k1):
+                            _merge(states, (k2, cur2), den * cd * c.denominator, vec,
+                                   f * cn * c.numerator)
+    parts = [{} for _ in range(width)]
+    for k2, (den, vec) in out.items():
+        for i, v in vec.items():
+            if v:
+                add_part(parts[i], den, k2, v * tree.factor)
+    return [lc_from_parts(p, tree.denominator) for p in parts]
 
 
-def _walk_keys(model, children, key, num, den, ground, parts):
-    """The walk for a monomial model: one key and coefficient per path.
-
-    The coproducts of one column are memoized on their arguments: all
-    prefixes with the same union reach the same remaining set and key, so
-    at most 3^n coproducts are taken (one per block and disjoint remaining
-    set), against one per inner node of the tree.  The memo lives for this
-    column only: `_down_keys` is a module-level function, because a nested
-    function that calls itself sits in a reference cycle, which would keep
-    the memo alive until the next garbage collection."""
-    cop = model.coproduct_key
-    ctx = (cop, model.product_key, {}, parts)
-    for S, (end, sub) in children.items():
-        if end is not None:
-            add_part(parts, den, key, num * end)
-        if sub:
-            rest = ground & ~S
-            img = cop(S, rest, key)
-            if img is None:
-                continue
-            c, (k1, cur) = img
-            num1 = num * c.numerator
-            if num1:  # a degenerate braiding parameter can kill the path
-                _down_keys(ctx, sub, S, k1, cur, rest, num1, den * c.denominator)
-
-
-def _down_keys(ctx, children, mask, kacc, cur, rest, num, den):
-    cop, prod, memo, parts = ctx
-    for S, (end, sub) in children.items():
-        if end is not None:
-            c, k2 = prod(mask, S, kacc, cur)
-            if c is ONE:
-                add_part(parts, den, k2, num * end)
-            else:
-                add_part(parts, den * c.denominator, k2, num * c.numerator * end)
-        if sub:
-            rest2 = rest & ~S
-            mk = (S, rest2, cur)
-            img = memo.get(mk, memo)
-            if img is memo:
-                img = cop(S, rest2, cur)
-                if img is not None:
-                    c, (k1, cur2) = img
-                    img = (c.numerator, c.denominator, k1, cur2)
-                memo[mk] = img
-            if img is None:
-                continue
-            cn, cd, k1, cur2 = img
-            c, k2 = prod(mask, S, kacc, k1)
-            num2, den2 = num * cn, den * cd
-            if c is not ONE:
-                num2, den2 = num2 * c.numerator, den2 * c.denominator
-            if num2:
-                _down_keys(ctx, sub, mask | S, k2, cur2, rest2, num2, den2)
-
-
-def _times(coef, c):
-    """coef * c, with an integral c as an int, and no work when c is 1."""
-    if c is ONE:
-        return coef
-    if c.denominator == 1:
-        c = c.numerator
-        if c == 1:
-            return coef
-    return coef * c
-
-
-def _walk_terms(model, children, key, num, den, ground, parts):
-    """The walk for any model: each node carries the LinComb of its
-    (accumulated key, remaining key) pairs, an integral coefficient as an
-    int."""
-    coef = num if den == 1 else Fraction(num, den)
-    for S, (end, sub) in children.items():
-        if end is not None:
-            add_part(parts, den, key, num * end)
-        if sub:
-            rest = ground & ~S
-            state = {pair: _times(coef, c)
-                     for pair, c in model.coproduct(S, rest, key).terms.items()}
-            if state:
-                _down_terms(model, parts, sub, S, state, rest)
-
-
-def _down_terms(model, parts, children, mask, state, rest):
-    for S, (end, sub) in children.items():
-        if end is not None:
-            for (kacc, cur), c in state.items():
-                for k2, c2 in model.product(mask, S, kacc, cur).terms.items():
-                    v = _times(c, c2) * end
-                    add_part(parts, v.denominator, k2, v.numerator)
-        if sub:
-            rest2 = rest & ~S
-            nxt = {}
-            for (kacc, cur), c in state.items():
-                for (k1, cur2), c1 in model.coproduct(S, rest2, cur).terms.items():
-                    c1 = _times(c, c1)
-                    for k2, c2 in model.product(mask, S, kacc, k1).terms.items():
-                        pair = (k2, cur2)
-                        nxt[pair] = nxt.get(pair, 0) + _times(c1, c2)
-            nxt = {pair: v for pair, v in nxt.items() if v}
-            if nxt:
-                _down_terms(model, parts, sub, mask | S, nxt, rest2)
+def characteristic_op(model, z, h):
+    """z acting on h in model[n]: the sum over z's shapes F of z_F times
+    the product along F of the coproduct along F, by one walk over z's
+    prefix tree (`_columns`)."""
+    seeds = {k: [c.denominator, {0: c.numerator}] for k, c in h.terms.items()}
+    return _columns(model, z, seeds, 1)[0]
 
 
 def psi_map(model, z, n=None):
-    """The characteristic operation of z as a LinMap on degree n."""
+    """The characteristic operation of z as a LinMap on degree n, every
+    column from one walk."""
     if n is None:
         n = z.n
     basis = model.basis(n)
-    tree = PrefixTree(model, z)
-    return LinMap(basis, basis, {k: characteristic_op(model, z, LinComb.term(k), tree)
-                                 for k in basis})
+    seeds = {k: [1, {i: 1}] for i, k in enumerate(basis)}
+    return LinMap(basis, basis, dict(zip(basis, _columns(model, z, seeds, len(basis)))))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +333,9 @@ def pdynkin(i, n):
 def h_power(p, n):
     """The element operating as the p-th convolution power of the identity;
     p may be any Fraction (binomial coefficients extend polynomially)."""
-    p = Fraction(p)
-    out = {}
-    for F in compositions_of(full_mask(n)):
-        c = binomial_general(p, len(F))
-        if c:
-            out[F] = c
-    return TitsElement(n, LinComb.wrap(out))
+    binomials = [binomial_general(p, k) for k in range(n + 1)]
+    return TitsElement(n, LinComb.wrap({F: binomials[len(F)] for F in compositions_of(full_mask(n))
+                                        if binomials[len(F)]}))
 
 
 def h_power_dec(p, n):

@@ -2,13 +2,13 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (310 tests) took 105 s on a 2-core machine.  In
-that run criterion 1 took 13 s: every S_n-equivariant axiom checks one
-instance per orbit once naturality is proved.  Criterion 2 took under 4 s, the
-Takeuchi families (one prefix walk per column) and the convolutions of the
+The whole tier-1 suite (311 tests) took 92-115 s on a 2-core machine (two
+runs).  Criterion 1 took 12-14 s: every S_n-equivariant axiom checks one
+instance per orbit once naturality is proved.  Criterion 2 took under 2.5 s, the
+Takeuchi families (one walk for all columns) and the convolutions of the
 Milnor-Moore recursions and `verify_antipode`, all accumulating ints.
-Criterion 6 took under 4 s, about 1 s of it building the Sigma degree-5
-characteristic operation and about 1 s its rank.
+Criterion 6 took about 3 s, most of it exact elimination (the kernels of
+the primitive parts and the ranks of the first Eulerian operations).
 """
 
 from fractions import Fraction

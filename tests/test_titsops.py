@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from species_forge import build_model
+from species_forge import build_model, titsops
 from species_forge.antipode import antipode_family
 from species_forge.exactlin import LinComb, LinMap, tensor
 from species_forge.models import basis_change
@@ -26,6 +26,7 @@ from species_forge.setcomb import (
 from species_forge.species import delta_shape, delta_shape_key, mu_shape, mu_shape_key
 from species_forge.titsops import (
     TitsElement,
+    binomial_general,
     characteristic_op,
     cumulant,
     cumulant_partition,
@@ -200,18 +201,33 @@ def test_characteristic_op_matches_the_shape_by_shape_sum(name, nmax):
         hs = _oracle_inputs(model, n)
         for z in _oracle_elements(n):
             _assert_walk_matches_shapes(model, z, hs)
-        # every column at every degree; psi_map shares one prefix tree
-        # among its columns
-        for z in (h_power(-1, n), euler_first(n)):
-            pm = psi_map(model, z)
-            for k in model.basis(n):
-                assert pm.cols[k] == _characteristic_op_by_shapes(model, z, LinComb.term(k))
-                assert all(type(v) is Fraction for v in pm.cols[k].terms.values())
+        # every column at every degree: psi_map builds all of them in one
+        # walk, with states merged across columns
+        for z in _oracle_elements(n):
+            _assert_columns_match_shapes(model, z, psi_map(model, z).cols)
+
+
+def _assert_columns_match_shapes(model, z, cols):
+    for k in model.basis(z.n):
+        assert cols[k] == _characteristic_op_by_shapes(model, z, LinComb.term(k)), \
+            (model.name, z, k)
+        assert all(type(v) is Fraction for v in cols[k].terms.values())
+
+
+def _all_columns(model, z):
+    """Every column of z's operation from the one walk psi_map takes.  On
+    SigmaHat the images of powers p >= 2 leave basis(n) (the truncated
+    product), so psi_map cannot hold them in a LinMap."""
+    basis = model.basis(z.n)
+    seeds = {k: [1, {i: 1}] for i, k in enumerate(basis)}
+    return dict(zip(basis, titsops._columns(model, z, seeds, len(basis))))
 
 
 def test_characteristic_op_matches_the_shape_by_shape_sum_on_decompositions():
     # shapes with empty blocks: their end marks sit on nodes that also have
-    # children, and blocks equal to the remaining set need not end a shape
+    # children, blocks equal to the remaining set need not end a shape, and
+    # an empty block keeps the union of the prefix, so the walk must finish
+    # the states it sends back into the union it is processing
     hat = build_model("SigmaHat:3")
     dual_hat = build_model("dual:SigmaHat:2")  # the walk with LinComb steps
     for n in range(4):
@@ -222,10 +238,27 @@ def test_characteristic_op_matches_the_shape_by_shape_sum_on_decompositions():
             if model is dual_hat and n > 2:
                 continue
             hs = _oracle_inputs(model, n)
-            for p in range(4):
-                _assert_walk_matches_shapes(model, h_power_dec(p, n), hs)
-            _assert_walk_matches_shapes(model, z, hs)
-            _assert_walk_matches_shapes(model, z + h_power_dec(2, n), hs)
+            for w in [h_power_dec(p, n) for p in range(4)] + [z, z + h_power_dec(2, n)]:
+                _assert_walk_matches_shapes(model, w, hs)
+                _assert_columns_match_shapes(model, w, _all_columns(model, w))
+            for p in range(2):  # images inside basis(n)
+                w = h_power_dec(p, n)
+                assert psi_map(model, w).cols == _all_columns(model, w)
+
+
+def test_prefix_tree_shares_equal_subtrees():
+    # under a prefix, the shapes of h_power(-1, n) and dynkin(n) depend on
+    # the labels it has used, up to sign: one node per subset of [n]
+    for n in range(6):
+        for z in (h_power(-1, n), dynkin(n) if n else tits_unit(0)):
+            tree = titsops.PrefixTree(Sigma, z)
+            assert len(tree.nodes) == 2 ** n, (n, z)
+            assert tree.root == len(tree.nodes) - 1
+            assert all(child < i for i, (_, edges) in enumerate(tree.nodes)
+                       for _, _, child in edges)
+    # every single composition is a chain of its own
+    for F in compositions_of(full_mask(3)):
+        assert len(titsops.PrefixTree(Sigma, TitsElement(3, LinComb.term(F))).nodes) == len(F) + 1
 
 
 def test_h_q_projection_rule():
@@ -313,6 +346,13 @@ def test_h_power_values():
     assert h_power(-1, 2).coeffs == LinComb({(3,): -1, (1, 2): 1, (2, 1): 1})
     assert h_power(1, 3) == tits_unit(3)
     assert h_power(0, 2).coeffs == LinComb()
+    # one binomial per block count gives the per-composition definition
+    for p in (-1, 0, Fraction(1, 2), 2, Fraction(3, 2)):
+        for n in range(6):
+            want = {F: binomial_general(p, len(F)) for F in compositions_of(full_mask(n))}
+            got = h_power(p, n)
+            assert got.coeffs == LinComb(want) and not got.dec, (p, n)
+            assert all(type(v) is Fraction for v in got.coeffs.terms.values())
 
 
 def test_diagonalization():
