@@ -46,43 +46,63 @@ def _takeuchi_map(model, n):
     return psi_map(model, h_power(-1, n), n)
 
 
-def _mm_map(model, n, lower, side):
-    """One Milnor-Moore step at degree n given the maps of lower degrees.
+def _closed_map(model, n):
+    basis = model.basis(n)
+    return LinMap(basis, basis, {k: closed_form(model, k, n) for k in basis})
+
+
+def _mm_map(model, n, lowers, sides, idf, transports):
+    """One Milnor-Moore step at degree n for each side ("mm-left" or
+    "mm-right"), given each side's maps of lower degrees; one convolve call
+    serves every side.
 
     id * S = u.e vanishes in positive degree, and its term that puts the
     whole set under the antipode is S_n itself.  So S_n = -(id * S') for the
     right recursion and -(S' * id) for the left one, where S' extends the
-    lower maps by the zero map at degree n.
+    lower maps by the zero map at degree n.  `idf` is the identity family
+    and `transports` the transport dict of convolve, both kept by the caller
+    across the degrees of the recursion.
     """
     basis = model.basis(n)
     if n == 0:
-        return LinMap.identity(basis)
-    ext = dict(lower)
-    ext[n] = LinMap.zero(basis, basis)
-    idf = identity_family(model, n)
-    if side == "right":
-        return convolve(model, idf, ext, n).scale(-1)
-    return convolve(model, ext, idf, n).scale(-1)
+        return [LinMap.identity(basis) for _ in sides]
+    zero = LinMap.zero(basis, basis)
+    pairs = []
+    for lower, side in zip(lowers, sides):
+        ext = {**lower, n: zero}
+        pairs.append((idf, ext) if side == "mm-right" else (ext, idf))
+    return [conv.scale(-1) for conv in convolve(model, pairs, n, transports)]
+
+
+def antipode_families(model, nmax, methods):
+    """Antipode maps for all degrees 0..nmax by each of `methods`, as a dict
+    method -> (degree -> LinMap) in the order of `methods`.  The
+    Milnor-Moore recursions run together, one convolution sweep per degree;
+    the Takeuchi sum shares nothing with them, as it is their oracle."""
+    _require_hopf(model)
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown antipode method {method!r}")
+    fams = {}
+    mm = [m for m in methods if m in ("mm-left", "mm-right")]
+    if mm:
+        lowers = [{} for _ in mm]
+        idf, transports = identity_family(model, nmax), {}
+        for m in range(nmax + 1):
+            for lower, s in zip(lowers, _mm_map(model, m, lowers, mm, idf, transports)):
+                lower[m] = s
+        fams.update(zip(mm, lowers))
+    for method in methods:
+        if method == "takeuchi":
+            fams[method] = {m: _takeuchi_map(model, m) for m in range(nmax + 1)}
+        elif method == "closed":
+            fams[method] = {m: _closed_map(model, m) for m in range(nmax + 1)}
+    return {method: fams[method] for method in methods}
 
 
 def antipode_family(model, nmax, method="takeuchi"):
     """Antipode maps for all degrees 0..nmax as a dict degree -> LinMap."""
-    _require_hopf(model)
-    fam = {}
-    for m in range(nmax + 1):
-        if method == "takeuchi":
-            fam[m] = _takeuchi_map(model, m)
-        elif method == "mm-right":
-            fam[m] = _mm_map(model, m, fam, "right")
-        elif method == "mm-left":
-            fam[m] = _mm_map(model, m, fam, "left")
-        elif method == "closed":
-            basis = model.basis(m)
-            fam[m] = LinMap(basis, basis,
-                            {k: closed_form(model, k, m) for k in basis})
-        else:
-            raise ValueError(f"unknown antipode method {method!r}")
-    return fam
+    return antipode_families(model, nmax, (method,))[method]
 
 
 def antipode(model, n, method="takeuchi", basis="H"):
@@ -201,13 +221,14 @@ def closed_term_count(model, key, n):
 def verify_antipode(model, fam, n):
     """Check both convolution identities at degree n on every basis key for
     the antipode family `fam` (degree -> LinMap, for degrees 0..n); failures
-    are returned as data."""
+    are returned as data: the id*S failures, then the S*id ones, each in
+    basis order.  One convolve call sweeps both identities."""
     _require_hopf(model)
     idf = identity_family(model, n)
     unit = unit_family(model, n)[n]
     bad = []
-    for label, conv in (("id*S", convolve(model, idf, fam, n)),
-                        ("S*id", convolve(model, fam, idf, n))):
+    convs = convolve(model, [(idf, fam), (fam, idf)], n)
+    for label, conv in zip(("id*S", "S*id"), convs):
         if conv != unit:
             bad.extend((label, k) for k in model.basis(n) if conv(k) != unit(k))
     return bad

@@ -10,14 +10,15 @@ structure.  Output is deterministic: canonical basis orders, sorted keys.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
 from . import graphs
-from .antipode import METHODS, antipode_family, has_closed_form, verify_antipode
-from .exactlin import rational_str
+from .antipode import METHODS, antipode_families, has_closed_form, verify_antipode
+from .exactlin import lc_sum, rational_str
 from .gf import sequence_transform_report
 from .models import (
     UnknownModelError,
@@ -47,7 +48,6 @@ from .titsops import (
     TitsElement,
     dynkin,
     euler_first,
-    euler_higher,
     eulerian_decomposition,
     garsia_reutenauer,
     h_power,
@@ -238,8 +238,13 @@ def cmd_antipode(args):
     if args.method == "closed" and not has_closed_form(model):
         raise UsageError(f"no closed antipode form registered for {name}")
     checked = model if args.basis == "H" else q_view(model)
+    methods = [args.method]
+    if args.cross_check:
+        methods = ["takeuchi", "mm-left", "mm-right"]
+        if has_closed_form(model) or (args.basis == "Q"):
+            methods.append("closed")
     try:
-        fams = {args.method: antipode_family(checked, n, args.method)}
+        fams = antipode_families(checked, n, methods)
     except NotHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -256,12 +261,6 @@ def cmd_antipode(args):
     }
     status = EXIT_PASS
     if args.cross_check:
-        methods = ["takeuchi", "mm-left", "mm-right"]
-        if has_closed_form(model) or (args.basis == "Q"):
-            methods.append("closed")
-        for m in methods:
-            if m not in fams:
-                fams[m] = antipode_family(checked, n, m)
         agree = all(fams[m][n] == table for m in methods)
         conv_ok = not verify_antipode(checked, {**fams["takeuchi"], n: table}, n)
         payload["cross_check"] = {"methods": methods, "agree": agree,
@@ -307,21 +306,21 @@ def cmd_idempotents(args):
         model = _build_named(args.check_decomposition)
         _check_budget(args.check_decomposition, model, n)
     parts = partitions_of(full_mask(n))
+    grs = {X: garsia_reutenauer(X, n) for X in parts}
     payload = {"schema": SCHEMA, "command": "idempotents", "n": n, "tables": {}}
-    enc = encode_comp
+    enc = functools.cache(encode_comp)  # per command, so no cache outlives it
     payload["tables"]["euler1"] = lincomb_json(euler_first(n).coeffs, enc)
     payload["tables"]["dynkin"] = lincomb_json(dynkin(n).coeffs, enc)
     for p in (2, -1):
         payload["tables"][f"h_power:{p}"] = lincomb_json(h_power(p, n).coeffs, enc)
-    for k in range(1, n + 1):
-        payload["tables"][f"euler:{k}"] = lincomb_json(euler_higher(k, n).coeffs, enc)
+    for k in range(1, n + 1):  # euler_higher(k, n), from the idempotents built above
+        payload["tables"][f"euler:{k}"] = lincomb_json(
+            lc_sum([grs[X].coeffs for X in parts if len(X) == k]), enc)
     for X in parts:
-        payload["tables"][f"gr:{encode_partition(X)}"] = lincomb_json(
-            garsia_reutenauer(X, n).coeffs, enc)
+        payload["tables"][f"gr:{encode_partition(X)}"] = lincomb_json(grs[X].coeffs, enc)
     checks = {}
     failed = False
     if args.check_orthogonality:
-        grs = {X: garsia_reutenauer(X, n) for X in parts}
         ortho = all(
             tits_multiply(grs[X], grs[Y]) == (grs[X] if X == Y else TitsElement(n, {}))
             for X in parts for Y in parts)
@@ -330,7 +329,7 @@ def cmd_idempotents(args):
         checks["completeness"] = complete
         failed = failed or not (ortho and complete)
     if model is not None:
-        rep = eulerian_decomposition(model, n)
+        rep = eulerian_decomposition(model, n, grs)
         checks["decomposition"] = rep["ok"]
         checks["decomposition_ranks"] = [
             {"partition": encode_partition(e["partition"]), "rank": e["rank"],

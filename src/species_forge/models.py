@@ -260,6 +260,16 @@ def _admissible_graph(key, S, T):
     return key & graphs.edges_between(S, T) == 0
 
 
+def _admissible_coproduct(key, S, T):
+    """The Q-basis coproduct of a composition or partition: its blocks in S
+    and its blocks in T, in order, when no block meets both S and T (the
+    split is admissible), else None."""
+    for b in key:
+        if b & S and b & T:
+            return None
+    return ONE, (tuple([b for b in key if b & S]), tuple([b for b in key if b & T]))
+
+
 class QCompositionView(CompositionModel):
     """Sigma in its Q basis: free product, coproduct supported on admissible
     splits; exhibits the free presentation on the positive exponential."""
@@ -272,12 +282,7 @@ class QCompositionView(CompositionModel):
         self.set_theoretic = False
 
     def coproduct_key(self, S, T, key):
-        # a split is admissible when no block meets both S and T, i.e. when
-        # the two restrictions have as many blocks as the key
-        a, b = comp_restrict(key, S), comp_restrict(key, T)
-        if len(a) + len(b) != len(key):
-            return None
-        return ONE, (a, b)
+        return _admissible_coproduct(key, S, T)
 
 
 class QPartitionView(PartitionModel):
@@ -289,10 +294,7 @@ class QPartitionView(PartitionModel):
     set_theoretic = False
 
     def coproduct_key(self, S, T, key):
-        a, b = partition_restrict(key, S), partition_restrict(key, T)
-        if len(a) + len(b) != len(key):
-            return None
-        return ONE, (a, b)
+        return _admissible_coproduct(key, S, T)
 
 
 class QGraphView(GraphModel):

@@ -960,49 +960,91 @@ def _int_columns(linmap):
     return out
 
 
-def convolve(model, f_by_degree, g_by_degree, n):
-    """Convolution product of two endomorphism families at degree n.
+def _transported_columns(model, linmap, mask, transports):
+    """The int columns of the degree-m endomorphism `linmap` transported to
+    the m-set `mask` by naturality, as component_map does, kept in
+    `transports`.
 
-    Each argument maps degree m to a LinMap on basis(m) for 0 <= m <= n.
-    The columns of the transported component maps are read once per split
-    (S, T), as ints over a common denominator; each output column
-    accumulates int numerators per (key, denominator) and holds one
-    Fraction per key at the end.
+    There each result sits under (id(linmap), mask) together with the map,
+    so that no id is reused while the dict lives; and the relabelling of
+    basis(m) onto `mask` sits under the mask alone, so that the keys are
+    relabelled once per mask for all the maps transported there.
     """
+    hit = transports.get((id(linmap), mask))
+    if hit is None:
+        m = popcount(mask)
+        if mask == full_mask(m):
+            if linmap.domain != model.basis(m):
+                raise ValueError("expected an endomorphism on the standard component")
+            cols = _int_columns(linmap)
+        else:
+            up = transports.get(mask)
+            if up is None:
+                labels = mask_labels(mask)
+                up = transports[mask] = {k: model.relabel(labels, k) for k in model.basis(m)}
+            cols = {up[k]: (d, tuple([(up[k2], v) for k2, v in col]))
+                    for k, (d, col) in _transported_columns(model, linmap, full_mask(m),
+                                                            transports).items()}
+        hit = transports[id(linmap), mask] = (linmap, cols)
+    return hit[1]
+
+
+def convolve(model, pairs, n, transports=None):
+    """Convolution products f * g of endomorphism families at degree n, one
+    LinMap per (f, g) in `pairs`, in order.
+
+    Each family maps degree m to a LinMap on basis(m) for 0 <= m <= n.  One
+    sweep over the splits (S, T) and the keys takes each coproduct once and
+    applies it to every pair.  Each family map is transported to a mask
+    once, its columns read as ints over a common denominator; each output
+    column accumulates int numerators per (key, denominator) and holds one
+    Fraction per key at the end.
+
+    `transports`, a dict the caller owns for one model, keeps the
+    transported columns for further calls, such as the degrees of one
+    recursion; without it they are kept for this call only.
+    """
+    if transports is None:
+        transports = {}
     full = full_mask(n)
     basis = model.basis(n)
-    parts = {k: {} for k in basis}
+    outs = [{k: {} for k in basis} for _ in pairs]
     monomial, product_key = model.monomial, model.product_key
     for S in submasks(full):
         T = full ^ S
-        fS = _int_columns(component_map(model, f_by_degree[popcount(S)], S))
-        gT = _int_columns(component_map(model, g_by_degree[popcount(T)], T))
+        s, t = popcount(S), popcount(T)
+        sides = [(_transported_columns(model, f[s], S, transports),
+                  _transported_columns(model, g[t], T, transports), out)
+                 for (f, g), out in zip(pairs, outs)]
         for k in basis:
-            acc = parts[k]
             if monomial:
                 img = model.coproduct_key(S, T, k)
-                cops = () if img is None else (img,)
+                if img is None:
+                    continue
+                cops = (img,)
             else:
                 cops = [(c, pair) for pair, c in model.coproduct(S, T, k).terms.items()]
-            for c, (a, b) in cops:
-                da, fa = fS[a]
-                db, gb = gT[b]
-                if not (fa and gb):
-                    continue
-                den = c.denominator * da * db
-                for ka, na in fa:
-                    na *= c.numerator
-                    for kb, nb in gb:
-                        if monomial:
-                            c2, k2 = product_key(S, T, ka, kb)
-                            if c2 is ONE:
-                                add_part(acc, den, k2, na * nb)
+            for fS, gT, out in sides:
+                acc = out[k]
+                for c, (a, b) in cops:
+                    da, fa = fS[a]
+                    db, gb = gT[b]
+                    if not (fa and gb):
+                        continue
+                    den = c.denominator * da * db
+                    for ka, na in fa:
+                        na *= c.numerator
+                        for kb, nb in gb:
+                            if monomial:
+                                c2, k2 = product_key(S, T, ka, kb)
+                                if c2 is ONE:
+                                    add_part(acc, den, k2, na * nb)
+                                else:
+                                    add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
                             else:
-                                add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
-                        else:
-                            for k2, c2 in model.product(S, T, ka, kb).terms.items():
-                                add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
-    return LinMap(basis, basis, {k: lc_from_parts(p) for k, p in parts.items()})
+                                for k2, c2 in model.product(S, T, ka, kb).terms.items():
+                                    add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
+    return [LinMap(basis, basis, {k: lc_from_parts(p) for k, p in out.items()}) for out in outs]
 
 
 def identity_family(model, nmax):

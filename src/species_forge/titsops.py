@@ -586,8 +586,9 @@ def operator_conv_power(model, p, nmax):
         raise ValueError("convolution powers of the identity need p >= 0")
     fam = unit_family(model, nmax)
     idf = identity_family(model, nmax)
+    transports = {}
     for _ in range(p):
-        fam = {m: convolve(model, fam, idf, m) for m in range(nmax + 1)}
+        fam = {m: convolve(model, [(fam, idf)], m, transports)[0] for m in range(nmax + 1)}
     return fam
 
 
@@ -598,8 +599,9 @@ def operator_log_identity(model, nmax):
     delta = {m: idf[m] - uf[m] for m in range(nmax + 1)}  # locally nilpotent
     out = {m: LinMap.zero(model.basis(m), model.basis(m)) for m in range(nmax + 1)}
     power = uf
+    transports = {}
     for k in range(1, nmax + 1):
-        power = {m: convolve(model, power, delta, m) for m in range(nmax + 1)}
+        power = {m: convolve(model, [(power, delta)], m, transports)[0] for m in range(nmax + 1)}
         sign = Fraction(-1 if k % 2 == 0 else 1, k)
         out = {m: out[m] + power[m].scale(sign) for m in range(nmax + 1)}
     return out

@@ -4,7 +4,9 @@ sign behavior on primitives; the cancellation-freeness audit for graphs."""
 
 import contextlib
 import io
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,6 +14,7 @@ from species_forge import build_model
 from species_forge.cli import main
 from species_forge.antipode import (
     antipode,
+    antipode_families,
     antipode_family,
     closed_form,
     closed_term_count,
@@ -20,7 +23,7 @@ from species_forge.antipode import (
     verify_antipode,
 )
 from species_forge.exactlin import LinComb, LinMap, tensor
-from species_forge.models import LinearOrderModel, basis_change, q_view
+from species_forge.models import LinearOrderModel, QCompositionView, basis_change, q_view
 from species_forge.kernels import popcount
 from species_forge.setcomb import decode_comp, decode_partition, full_mask, submasks
 from species_forge.species import (
@@ -29,6 +32,7 @@ from species_forge.species import (
     convolve,
     identity_family,
     mu_shape,
+    unit_family,
 )
 from species_forge.titsops import euler_first, primitive_part, psi_map
 
@@ -228,10 +232,94 @@ def test_convolve_matches_the_lincomb_sum(name, nmax):
         "S": antipode_family(model, nmax),
         "euler": {m: psi_map(model, euler_first(m), m) for m in range(nmax + 1)},
     }
+    names = [(f_name, g_name) for f_name in families for g_name in families]
+    pairs = [(families[f_name], families[g_name]) for f_name, g_name in names]
+    transports = {}  # shared across degrees, as by the Milnor-Moore recursions
     for n in range(nmax + 1):
-        for f_name, f in families.items():
-            for g_name, g in families.items():
-                got = convolve(model, f, g, n)
-                assert got == _convolve_by_lincombs(model, f, g, n), (name, n, f_name, g_name)
+        want = [_convolve_by_lincombs(model, f, g, n) for f, g in pairs]
+        for got_all in (convolve(model, pairs, n), convolve(model, pairs, n, transports)):
+            assert len(got_all) == len(pairs)
+            for label, got, ref in zip(names, got_all, want):
+                assert got == ref, (name, n, label)
                 assert all(type(v) is Fraction
                            for col in got.cols.values() for v in col.terms.values())
+
+
+@pytest.mark.parametrize("name, nmax", [
+    ("L", 4), ("Lq:2/3", 4), ("Pi", 4), ("Sigma", 4), ("Q:Sigma", 4), ("Q:Pi", 4),
+    ("dual:L", 3), ("had:L,Pi", 3),
+])
+def test_antipode_families_match_one_method_families(name, nmax):
+    model = build_model(name)
+    both = antipode_families(model, nmax, ("mm-left", "mm-right"))
+    assert list(both) == ["mm-left", "mm-right"]
+    for method in both:
+        assert both[method] == antipode_family(model, nmax, method), (name, method)
+
+
+def _verify_antipode_by_two_sweeps(model, fam, n):
+    """Reference for verify_antipode: one convolution per identity, each by
+    the LinComb sum, failures listed id*S first, each in basis order."""
+    idf = identity_family(model, n)
+    unit = unit_family(model, n)[n]
+    bad = []
+    for label, conv in (("id*S", _convolve_by_lincombs(model, idf, fam, n)),
+                        ("S*id", _convolve_by_lincombs(model, fam, idf, n))):
+        if conv != unit:
+            bad.extend((label, k) for k in model.basis(n) if conv(k) != unit(k))
+    return bad
+
+
+@pytest.mark.parametrize("name, n, degree", [
+    ("L", 3, 2), ("Sigma", 3, 2), ("Q:Sigma", 4, 3), ("Pi", 4, 3), ("Sigma", 3, 3),
+])
+def test_verify_antipode_lists_failures_as_two_sweeps(name, n, degree):
+    model = build_model(name)
+    fam = antipode_family(model, n)
+    basis = model.basis(degree)
+    k0 = basis[len(basis) // 2]
+    cols = dict(fam[degree].cols)
+    cols[k0] = LinComb.term(k0)  # one corrupted column
+    fam[degree] = LinMap(basis, basis, cols)
+    got = verify_antipode(model, fam, n)
+    assert got and {label for label, _ in got} == {"id*S", "S*id"}
+    assert got == _verify_antipode_by_two_sweeps(model, fam, n)
+
+
+class CountingQSigma(QCompositionView):
+    """Q:Sigma counting its coproduct and relabel calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def coproduct_key(self, S, T, key):
+        self.calls["coproduct_key"] += 1
+        return super().coproduct_key(S, T, key)
+
+    def relabel(self, perm, key):
+        self.calls["relabel"] += 1
+        return super().relabel(perm, key)
+
+
+def test_convolve_sweeps_once_per_degree():
+    # The convolution part of `antipode Sigma 4 Q ... --cross-check`: both
+    # Milnor-Moore recursions, then both identities at the top degree.  Each
+    # degree m >= 1 takes one sweep of 2^m splits times dim(m) coproducts.
+    # The keys of degree m are relabelled once onto each m-subset of [4]
+    # other than the initial one, where maps are used as they are: once for
+    # both recursions, and once more for the verification.
+    n = 4
+    model = CountingQSigma()
+    antipode_families(model, n, ("mm-left", "mm-right"))
+    mm_calls = dict(model.calls)
+    model.calls.clear()
+    assert verify_antipode(model, antipode_family(q_view(Sigma), n, "takeuchi"), n) == []
+    verify_calls = dict(model.calls)
+
+    dims = [model.dim(m) for m in range(n + 1)]
+    assert dims == [1, 1, 3, 13, 75]
+    relabels = sum((comb(n, m) - 1) * dims[m] for m in range(1, n))
+    assert mm_calls == {"coproduct_key": sum(2 ** m * dims[m] for m in range(1, n + 1)),
+                        "relabel": relabels}  # 1318, 57
+    assert verify_calls == {"coproduct_key": 2 ** n * dims[n], "relabel": relabels}  # 1200, 57

@@ -248,7 +248,7 @@ def test_exp_of_primitive_valued_map_is_comonoid_morphism():
     exp_f = unit_family(model, nmax)
     power = unit_family(model, nmax)
     for k in range(1, nmax + 1):
-        power = {m: convolve(model, power, f, m) for m in range(nmax + 1)}
+        power = {m: convolve(model, [(power, f)], m)[0] for m in range(nmax + 1)}
         exp_f = {m: exp_f[m] + power[m].scale(Fraction(1, factorial(k)))
                  for m in range(nmax + 1)}
     idf = identity_family(model, nmax)
@@ -262,7 +262,7 @@ def test_exp_of_primitive_valued_map_is_comonoid_morphism():
     power = unit_family(model, nmax)
     f2 = {n: f[n].scale(2) for n in range(nmax + 1)}
     for k in range(1, nmax + 1):
-        power = {m: convolve(model, power, f2, m) for m in range(nmax + 1)}
+        power = {m: convolve(model, [(power, f2)], m)[0] for m in range(nmax + 1)}
         g = {m: g[m] + power[m].scale(Fraction(1, factorial(k)))
              for m in range(nmax + 1)}
     for n in range(nmax + 1):
