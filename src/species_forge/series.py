@@ -6,22 +6,21 @@ composition model.
 
 Truncation is lossless per degree: every identity asserted here is an
 identity of the components in degrees 0..nmax.
+
+Products, coproducts and comparisons run on integers: a component on a
+label set is read once as ints over one common denominator, results
+accumulate int numerators per (key, denominator), and each output
+coefficient becomes one Fraction at the end.
 """
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .exactlin import LinComb, tensor
+from .exactlin import ONE, LinComb, add_part, integral, lc_from_parts
 from .kernels import popcount
-from .setcomb import compositions_of, full_mask, mask_labels, submasks
-from .species import (
-    NotHopfError,
-    adjacent_transpositions,
-    check_relabel_action,
-    delta_shape,
-    mu_shape,
-)
+from .setcomb import full_mask, mask_labels, submasks
+from .species import NotHopfError, adjacent_transpositions, check_relabel_action
 from .titsops import (
     TitsElement,
     binomial_general,
@@ -89,18 +88,122 @@ def unit_series(model, nmax):
     return Series(model, nmax, {0: model.unit()})
 
 
+# ---------------------------------------------------------------------------
+# the integer engine: an int column (d, {key: int}) is an element with its
+# coefficients over one common denominator d; results accumulate in parts
+# {den: {key: int numerator}} (exactlin.add_part), and a column is the
+# parts {d: ints}
+
+
+class _Columns(dict):
+    """mask -> the component of a series on that mask as an int column,
+    each relabelled and read once."""
+
+    def __init__(self, s):
+        super().__init__()
+        self.s = s
+
+    def __missing__(self, mask):
+        col = self[mask] = integral(self.s.component_on(mask).terms)
+        return col
+
+
+def _flat(parts):
+    """The int column of the nonzero coefficients accumulated in parts."""
+    if len(parts) == 1:
+        (d, acc), = parts.items()
+    else:
+        d = lcm(*parts)
+        acc = {}
+        for e, part in parts.items():
+            for k, v in part.items():
+                acc[k] = acc.get(k, 0) + v * (d // e)
+    return d, {k: v for k, v in acc.items() if v}
+
+
+def _multiply(parts, model, S, T, x, y):
+    """Accumulate the product on (S, T) of the int columns x on S and y on T."""
+    (dx, xs), (dy, ys) = x, y
+    if not (xs and ys):
+        return parts
+    den = dx * dy
+    monomial = model.monomial
+    for kx, nx in xs.items():
+        for ky, ny in ys.items():
+            if monomial:
+                c, k = model.product_key(S, T, kx, ky)
+                add_part(parts, den * c.denominator, k, nx * ny * c.numerator)
+            else:
+                for k, c in model.product(S, T, kx, ky).terms.items():
+                    add_part(parts, den * c.denominator, k, nx * ny * c.numerator)
+    return parts
+
+
+def _coproduct(parts, model, S, T, x, table):
+    """Accumulate the coproduct on (S, T) of the int column x on S | T,
+    each coproduct kept in `table` under (S, T) and the key as
+    ((c, pair), ...)."""
+    d, xs = x
+    known = table.get((S, T))
+    if known is None:
+        known = table[S, T] = {}
+    acc = parts.setdefault(d, {})
+    for k, num in xs.items():
+        cops = known.get(k)
+        if cops is None:
+            if model.monomial:
+                img = model.coproduct_key(S, T, k)
+                cops = () if img is None else (img,)
+            else:
+                cops = tuple([(c, pair) for pair, c in model.coproduct(S, T, k).terms.items()])
+            known[k] = cops
+        for c, pair in cops:
+            if c is ONE:
+                acc[pair] = acc.get(pair, 0) + num
+            else:
+                add_part(parts, d * c.denominator, pair, num * c.numerator)
+    return parts
+
+
+def _tensor(parts, x, y):
+    """Accumulate x (tensor) y of two int columns."""
+    (dx, xs), (dy, ys) = x, y
+    if xs and ys:
+        acc = parts.setdefault(dx * dy, {})
+        for kx, nx in xs.items():
+            for ky, ny in ys.items():
+                acc[kx, ky] = acc.get((kx, ky), 0) + nx * ny
+    return parts
+
+
+def _splits_agree(nmax, lhs, rhs):
+    """Whether the parts lhs(S, T) and rhs(S, T) are equal on every split
+    (S, T) of [n] for n <= nmax, compared exactly in ints."""
+    for n in range(nmax + 1):
+        full = full_mask(n)
+        for S in submasks(full):
+            (da, xs), (db, ys) = _flat(lhs(S, full ^ S)), _flat(rhs(S, full ^ S))
+            if da != db:
+                xs = {k: v * db for k, v in xs.items()}
+                ys = {k: v * da for k, v in ys.items()}
+            if xs != ys:
+                return False
+    return True
+
+
 def cauchy(s, t):
     """(s * t)_n as the sum of products over all two-block splits."""
     s._match(t)
     model = s.model
+    cs = _Columns(s)
+    ct = cs if t is s else _Columns(t)
     out = {}
     for n in range(s.nmax + 1):
         full = full_mask(n)
-        total = LinComb()
+        parts = {}
         for S in submasks(full):
-            T = full ^ S
-            total = total + mu_shape(model, (S, T), tensor(s.component_on(S), t.component_on(T)))
-        out[n] = total
+            _multiply(parts, model, S, full ^ S, cs[S], ct[full ^ S])
+        out[n] = lc_from_parts(parts)
     return Series(model, s.nmax, out)
 
 
@@ -118,22 +221,41 @@ def bracket(s, t):
 
 def functional_calculus(coeffs, s):
     """Substitute s (with vanishing degree-0 part) into a formal power
-    series given by its coefficient list or callable."""
+    series given by its coefficient list or callable.
+
+    Degree n is the sum over the compositions F of [n] of a(len(F)) times
+    the left-nested product of s along F.  One walk over the subsets U of
+    [nmax] in increasing size keeps, per (U, j), the sum over the
+    compositions of U into j blocks, as ints; a block B disjoint from U
+    extends it by one product on (U, B).  So each prefix is multiplied
+    once, on its own labels.
+    """
     if s.comps[0]:
         raise ValueError("functional calculus needs a series with zero constant term")
     a = coeffs if callable(coeffs) else (lambda k: coeffs[k] if k < len(coeffs) else ZERO)
     model = s.model
-    out = {0: model.unit().scale(a(0))}
-    for n in range(1, s.nmax + 1):
-        total = LinComb()
-        for F in compositions_of(full_mask(n)):
-            c = Fraction(a(len(F)))
-            if not c:
+    coef = [Fraction(a(k)) for k in range(s.nmax + 1)]
+    top = max((j for j, c in enumerate(coef) if c), default=0)
+    cols = _Columns(s)
+    full = full_mask(s.nmax)
+    states = {}
+    degrees = {n: {} for n in range(1, s.nmax + 1)}
+    for U in sorted(range(1, full + 1), key=popcount):
+        for j in range(1, min(popcount(U), top) + 1):
+            x = cols[U] if j == 1 else _flat(states.pop((U, j), {}))
+            if not x[1]:
                 continue
-            factors = [s.component_on(b) for b in F]
-            if all(factors):
-                total = total + mu_shape(model, F, tensor(*factors)).scale(c)
-        out[n] = total
+            c = coef[j]
+            if c and not U & (U + 1):  # U is [n]
+                d, xs = x
+                for k, v in xs.items():
+                    add_part(degrees[popcount(U)], d * c.denominator, k, v * c.numerator)
+            if j < top:
+                for B in submasks(full ^ U):
+                    if cols[B][1]:
+                        _multiply(states.setdefault((U | B, j + 1), {}), model, U, B, x, cols[B])
+    out = {n: lc_from_parts(parts) for n, parts in degrees.items()}
+    out[0] = model.unit().scale(coef[0])
     return Series(model, s.nmax, out)
 
 
@@ -161,35 +283,34 @@ def power_series(t, c):
 
 
 # ---------------------------------------------------------------------------
-# predicates
+# predicates: one sweep over the splits of each degree, every component read
+# once per mask
+
+
+def _counit(s):
+    return sum((v * s.model.counit(k) for k, v in s.comps[0].terms.items()), ZERO)
 
 
 def is_exponential(s):
     model = s.model
     if s.comps[0] != model.unit():
         return False
-    for n in range(s.nmax + 1):
-        full = full_mask(n)
-        for S in submasks(full):
-            T = full ^ S
-            pair = tensor(s.component_on(S), s.component_on(T))
-            if mu_shape(model, (S, T), pair) != s.comps[n]:
-                return False
-    return True
+    cols = _Columns(s)
+    return _splits_agree(s.nmax, lambda S, T: _multiply({}, model, S, T, cols[S], cols[T]),
+                         lambda S, T: dict([cols[S | T]]))
 
 
-def is_group_like(s):
+def is_group_like(s, coproducts=None):
+    """Each split of s is the tensor of its parts.  `coproducts`, a dict
+    the caller owns for one model, keeps the coproduct of each (S, T, key)
+    for further checks; without it they are kept for this call only."""
     model = s.model
-    if delta_shape(model, (), s.comps[0]) != tensor():
+    if _counit(s) != 1:
         return False
-    for n in range(s.nmax + 1):
-        full = full_mask(n)
-        for S in submasks(full):
-            T = full ^ S
-            pair = tensor(s.component_on(S), s.component_on(T))
-            if delta_shape(model, (S, T), s.comps[n]) != pair:
-                return False
-    return True
+    cols = _Columns(s)
+    table = {} if coproducts is None else coproducts
+    return _splits_agree(s.nmax, lambda S, T: _coproduct({}, model, S, T, cols[S | T], table),
+                         lambda S, T: _tensor({}, cols[S], cols[T]))
 
 
 def is_primitive_series(s):
@@ -202,17 +323,11 @@ def is_gh_primitive(x, g, h):
     x._match(g)
     x._match(h)
     model = x.model
-    if delta_shape(model, (), x.comps[0]):
+    if _counit(x):
         return False
-    for n in range(x.nmax + 1):
-        full = full_mask(n)
-        for S in submasks(full):
-            T = full ^ S
-            rhs = (tensor(g.component_on(S), x.component_on(T))
-                   + tensor(x.component_on(S), h.component_on(T)))
-            if delta_shape(model, (S, T), x.comps[n]) != rhs:
-                return False
-    return True
+    cx, cg, ch = _Columns(x), _Columns(g), _Columns(h)
+    return _splits_agree(x.nmax, lambda S, T: _coproduct({}, model, S, T, cx[S | T], {}),
+                         lambda S, T: _tensor(_tensor({}, cg[S], cx[T]), cx[S], ch[T]))
 
 
 def check_invariance(s):
@@ -278,12 +393,17 @@ def primitive_series_witnesses(model, nmax):
 
     out = []
     for n in range(1, nmax + 1):
-        perms = list(itertools.permutations(range(n)))
-        for v in primitive_part(model, n):
-            acc = LinComb()
-            for perm in perms:
-                acc = acc + model.relabel_lc(perm, v)
-            acc = acc.scale(Fraction(1, len(perms)))
+        vectors = [integral(v.terms) for v in primitive_part(model, n)]
+        sums = [{} for _ in vectors]
+        basis = model.basis(n)
+        for perm in itertools.permutations(range(n)):
+            up = {k: model.relabel(perm, k) for k in basis}
+            for (_, ints), acc in zip(vectors, sums):
+                for k, v in ints.items():
+                    k2 = up[k]
+                    acc[k2] = acc.get(k2, 0) + v
+        for (d, _), acc in zip(vectors, sums):
+            acc = lc_from_parts({d * factorial(n): acc})
             if acc:
                 comps = {m: LinComb() for m in range(nmax + 1)}
                 comps[n] = acc
@@ -324,19 +444,20 @@ def exp_log_bijection_check(model, nmax):
         report["cases"].append({"case": name, "ok": ok})
         report["ok"] = report["ok"] and ok
 
+    coproducts = {}
     witnesses = primitive_series_witnesses(model, nmax)
     for i, x in enumerate(witnesses):
         g = exp_series(x)
-        record(f"exp-primitive-{i}-group-like", is_group_like(g))
+        record(f"exp-primitive-{i}-group-like", is_group_like(g, coproducts))
         record(f"log-exp-roundtrip-{i}", log_series(g) == x)
     if model.family == "Sigma":
         uni = uni_series(model, nmax)
-        record("uni-group-like", is_group_like(uni))
+        record("uni-group-like", is_group_like(uni, coproducts))
         x = log_series(uni)
         record("log-uni-primitive", is_primitive_series(x))
         record("exp-log-uni", exp_series(x) == uni)
         half = power_series(uni, Fraction(1, 2))
-        record("uni^1/2-group-like", is_group_like(half))
+        record("uni^1/2-group-like", is_group_like(half, coproducts))
         record("uni^1/2-squares-back", cauchy(half, half) == uni)
     return report
 
