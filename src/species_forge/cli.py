@@ -494,26 +494,25 @@ def make_parser():
     return parser
 
 
-def _merge_flag(args, positional, flag):
-    v = getattr(args, flag, None)
+def _merge_flag(args, name):
+    """--name spells the positional `name`; both only with equal values."""
+    v = getattr(args, name + "_flag", None)
     if v is not None:
-        setattr(args, positional, v)
+        if getattr(args, name) not in (None, v):
+            raise UsageError(f"{name} given as {getattr(args, name)} and as --{name} {v}")
+        setattr(args, name, v)
 
 
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    _merge_flag(args, "model", "model_flag")
-    _merge_flag(args, "nmax", "nmax_flag")
-    _merge_flag(args, "n", "n_flag")
-    _merge_flag(args, "basis", "basis_flag")
-    _merge_flag(args, "method", "method_flag")
-    _merge_flag(args, "op", "op_flag")
-    if hasattr(args, "basis") and args.basis is None:
-        args.basis = "H"
-    if hasattr(args, "method") and args.method is None:
-        args.method = "takeuchi"
     try:
+        for name in ("model", "nmax", "n", "basis", "method", "op"):
+            _merge_flag(args, name)
+        if hasattr(args, "basis") and args.basis is None:
+            args.basis = "H"
+        if hasattr(args, "method") and args.method is None:
+            args.method = "takeuchi"
         if getattr(args, "nmax", None) is None and args.command in ("verify", "gf"):
             raise UsageError("nmax is required")
         if getattr(args, "n", None) is None and args.command in ("antipode", "idempotents", "dump"):

@@ -192,19 +192,27 @@ def add_part(parts, den, key, num):
     acc[key] = acc.get(key, 0) + num
 
 
+def merge_parts(parts):
+    """(den, {key: num}): the int numerators accumulated in `parts`
+    {den: {key: num}} over one denominator, the lcm of theirs; zeros are
+    kept."""
+    if len(parts) == 1:
+        (den, acc), = parts.items()
+        return den, acc
+    den = lcm(*parts)
+    acc = {}
+    for e, part in parts.items():
+        m = den // e
+        for k, v in part.items():
+            acc[k] = acc.get(k, 0) + v * m
+    return den, acc
+
+
 def lc_from_parts(parts, d=1):
     """The LinComb of int numerators accumulated per denominator: the sum
     over `parts` {den: {key: num}} of num / (den * d) times key, with one
     Fraction per nonzero coefficient."""
-    if len(parts) == 1:
-        (den, acc), = parts.items()
-    else:
-        den = lcm(*parts)
-        acc = {}
-        for e, part in parts.items():
-            m = den // e
-            for k, v in part.items():
-                acc[k] = acc.get(k, 0) + v * m
+    den, acc = merge_parts(parts)
     total = den * d
     return LinComb.wrap({k: Fraction(v, total) for k, v in acc.items() if v})
 

@@ -15,9 +15,9 @@ coefficient becomes one Fraction at the end.
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .exactlin import ONE, LinComb, add_part, integral, lc_from_parts
+from .exactlin import ONE, LinComb, add_part, integral, lc_from_parts, merge_parts
 from .kernels import popcount
 from .setcomb import full_mask, mask_labels, submasks
 from .species import NotHopfError, adjacent_transpositions, check_relabel_action
@@ -110,39 +110,29 @@ class _Columns(dict):
 
 def _flat(parts):
     """The int column of the nonzero coefficients accumulated in parts."""
-    if len(parts) == 1:
-        (d, acc), = parts.items()
-    else:
-        d = lcm(*parts)
-        acc = {}
-        for e, part in parts.items():
-            for k, v in part.items():
-                acc[k] = acc.get(k, 0) + v * (d // e)
+    d, acc = merge_parts(parts)
     return d, {k: v for k, v in acc.items() if v}
 
 
-def _multiply(parts, model, S, T, x, y):
-    """Accumulate the product on (S, T) of the int columns x on S and y on T."""
+def _multiply(parts, products, S, T, x, y):
+    """Accumulate the product on (S, T) of the int columns x on S and y on
+    T; `products` is the product of the model's structure_maps()."""
     (dx, xs), (dy, ys) = x, y
     if not (xs and ys):
         return parts
     den = dx * dy
-    monomial = model.monomial
     for kx, nx in xs.items():
         for ky, ny in ys.items():
-            if monomial:
-                c, k = model.product_key(S, T, kx, ky)
+            for c, k in products(S, T, kx, ky):
                 add_part(parts, den * c.denominator, k, nx * ny * c.numerator)
-            else:
-                for k, c in model.product(S, T, kx, ky).terms.items():
-                    add_part(parts, den * c.denominator, k, nx * ny * c.numerator)
     return parts
 
 
-def _coproduct(parts, model, S, T, x, table):
+def _coproduct(parts, coproducts, S, T, x, table):
     """Accumulate the coproduct on (S, T) of the int column x on S | T,
-    each coproduct kept in `table` under (S, T) and the key as
-    ((c, pair), ...)."""
+    `coproducts` the coproduct of the model's structure_maps(), each
+    coproduct kept in `table` under (S, T) and the key as its (c, pair)
+    terms."""
     d, xs = x
     known = table.get((S, T))
     if known is None:
@@ -151,12 +141,7 @@ def _coproduct(parts, model, S, T, x, table):
     for k, num in xs.items():
         cops = known.get(k)
         if cops is None:
-            if model.monomial:
-                img = model.coproduct_key(S, T, k)
-                cops = () if img is None else (img,)
-            else:
-                cops = tuple([(c, pair) for pair, c in model.coproduct(S, T, k).terms.items()])
-            known[k] = cops
+            cops = known[k] = coproducts(S, T, k)
         for c, pair in cops:
             if c is ONE:
                 acc[pair] = acc.get(pair, 0) + num
@@ -195,6 +180,7 @@ def cauchy(s, t):
     """(s * t)_n as the sum of products over all two-block splits."""
     s._match(t)
     model = s.model
+    _, products = model.structure_maps()
     cs = _Columns(s)
     ct = cs if t is s else _Columns(t)
     out = {}
@@ -202,7 +188,7 @@ def cauchy(s, t):
         full = full_mask(n)
         parts = {}
         for S in submasks(full):
-            _multiply(parts, model, S, full ^ S, cs[S], ct[full ^ S])
+            _multiply(parts, products, S, full ^ S, cs[S], ct[full ^ S])
         out[n] = lc_from_parts(parts)
     return Series(model, s.nmax, out)
 
@@ -234,6 +220,7 @@ def functional_calculus(coeffs, s):
         raise ValueError("functional calculus needs a series with zero constant term")
     a = coeffs if callable(coeffs) else (lambda k: coeffs[k] if k < len(coeffs) else ZERO)
     model = s.model
+    _, products = model.structure_maps()
     coef = [Fraction(a(k)) for k in range(s.nmax + 1)]
     top = max((j for j, c in enumerate(coef) if c), default=0)
     cols = _Columns(s)
@@ -253,7 +240,7 @@ def functional_calculus(coeffs, s):
             if j < top:
                 for B in submasks(full ^ U):
                     if cols[B][1]:
-                        _multiply(states.setdefault((U | B, j + 1), {}), model, U, B, x, cols[B])
+                        _multiply(states.setdefault((U | B, j + 1), {}), products, U, B, x, cols[B])
     out = {n: lc_from_parts(parts) for n, parts in degrees.items()}
     out[0] = model.unit().scale(coef[0])
     return Series(model, s.nmax, out)
@@ -295,8 +282,9 @@ def is_exponential(s):
     model = s.model
     if s.comps[0] != model.unit():
         return False
+    _, products = model.structure_maps()
     cols = _Columns(s)
-    return _splits_agree(s.nmax, lambda S, T: _multiply({}, model, S, T, cols[S], cols[T]),
+    return _splits_agree(s.nmax, lambda S, T: _multiply({}, products, S, T, cols[S], cols[T]),
                          lambda S, T: dict([cols[S | T]]))
 
 
@@ -304,12 +292,12 @@ def is_group_like(s, coproducts=None):
     """Each split of s is the tensor of its parts.  `coproducts`, a dict
     the caller owns for one model, keeps the coproduct of each (S, T, key)
     for further checks; without it they are kept for this call only."""
-    model = s.model
     if _counit(s) != 1:
         return False
+    cop, _ = s.model.structure_maps()
     cols = _Columns(s)
     table = {} if coproducts is None else coproducts
-    return _splits_agree(s.nmax, lambda S, T: _coproduct({}, model, S, T, cols[S | T], table),
+    return _splits_agree(s.nmax, lambda S, T: _coproduct({}, cop, S, T, cols[S | T], table),
                          lambda S, T: _tensor({}, cols[S], cols[T]))
 
 
@@ -322,11 +310,11 @@ def is_gh_primitive(x, g, h):
     """(g, h)-primitivity: each split of x is g (tensor) x plus x (tensor) h."""
     x._match(g)
     x._match(h)
-    model = x.model
     if _counit(x):
         return False
+    cop, _ = x.model.structure_maps()
     cx, cg, ch = _Columns(x), _Columns(g), _Columns(h)
-    return _splits_agree(x.nmax, lambda S, T: _coproduct({}, model, S, T, cx[S | T], {}),
+    return _splits_agree(x.nmax, lambda S, T: _coproduct({}, cop, S, T, cx[S | T], {}),
                          lambda S, T: _tensor(_tensor({}, cg[S], cx[T]), cx[S], ch[T]))
 
 

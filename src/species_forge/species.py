@@ -12,7 +12,9 @@ Models whose maps send basis keys to scalar multiples of basis keys
 ("monomial" models: the linearized set-theoretic ones, their q-twists, and
 the triangular basis views) expose the cheaper `product_key`/`coproduct_key`
 interface; everything else (duals, Hadamard products) works through full
-LinCombs.  The checkers and antipode code pick the fast path when available.
+LinCombs.  `SpeciesModel.structure_maps()` picks between the two for every
+reader; only the bimonoid-square sweep (`mu_shape_key`, `delta_shape_key`,
+`_rhs_fast`) and `convolve` keep a monomial fork, measured to pay.
 """
 
 import functools
@@ -95,6 +97,17 @@ class SpeciesModel:
         c, pair = img
         return LinComb.term(pair, c)
 
+    def structure_maps(self):
+        """The coproduct and the product as functions to (coefficient,
+        image) pairs: the `*_key` maps on a monomial model (a coefficient may
+        be 0 where a braiding parameter is), else the LinComb maps' terms."""
+        if self.monomial:
+            cop, prod = self.coproduct_key, self.product_key
+            return ((lambda S, T, key: () if (img := cop(S, T, key)) is None else (img,)),
+                    (lambda S, T, x, y: (prod(S, T, x, y),)))
+        return ((lambda S, T, key: [(c, p) for p, c in self.coproduct(S, T, key).terms.items()]),
+                (lambda S, T, x, y: [(c, k) for k, c in self.product(S, T, x, y).terms.items()]))
+
     # -- conveniences -------------------------------------------------------
 
     def relabel_lc(self, perm, lc):
@@ -143,6 +156,7 @@ def mu_shape(model, shape, tlc):
     """Iterated product along `shape` applied to a LinComb over key tuples."""
     if not shape:
         return model.unit().scale(tlc[()])
+    _, products = model.structure_maps()
     out = {}
     for keys, c0 in tlc.terms.items():
         cur = {keys[0]: c0}
@@ -150,27 +164,20 @@ def mu_shape(model, shape, tlc):
         for i in range(1, len(shape)):
             nxt = {}
             for kacc, cacc in cur.items():
-                for k2, v2 in model.product(mask, shape[i], kacc, keys[i]).terms.items():
-                    w = nxt.get(k2, ZERO) + cacc * v2
-                    if w:
-                        nxt[k2] = w
-                    else:
-                        del nxt[k2]
+                for v2, k2 in products(mask, shape[i], kacc, keys[i]):
+                    nxt[k2] = nxt.get(k2, ZERO) + cacc * v2
             mask |= shape[i]
             cur = nxt
         for k2, v2 in cur.items():
-            w = out.get(k2, ZERO) + v2
-            if w:
-                out[k2] = w
-            else:
-                del out[k2]
-    return LinComb.wrap(out)
+            out[k2] = out.get(k2, ZERO) + v2
+    return LinComb.wrap({k: v for k, v in out.items() if v})
 
 
 def delta_shape(model, shape, lc):
     """Iterated coproduct along `shape`; result is a LinComb over key tuples."""
     if not shape:
         return LinComb.term((), sum((v * model.counit(k) for k, v in lc.terms.items()), ZERO))
+    coproducts, _ = model.structure_maps()
     rest = 0
     for b in shape:
         rest |= b
@@ -179,15 +186,11 @@ def delta_shape(model, shape, lc):
         rest &= ~shape[i]
         nxt = {}
         for keys, c in cur.items():
-            for pair, v in model.coproduct(shape[i], rest, keys[-1]).terms.items():
+            for v, pair in coproducts(shape[i], rest, keys[-1]):
                 tk = keys[:-1] + pair
-                w = nxt.get(tk, ZERO) + c * v
-                if w:
-                    nxt[tk] = w
-                else:
-                    del nxt[tk]
+                nxt[tk] = nxt.get(tk, ZERO) + c * v
         cur = nxt
-    return LinComb.wrap(cur)
+    return LinComb.wrap({k: v for k, v in cur.items() if v})
 
 
 def mu_shape_key(model, shape, keys, coef=ONE):
@@ -334,7 +337,8 @@ class HadamardModel(SpeciesModel):
     def product_key(self, S, T, x, y):
         c1, k1 = self.left.product_key(S, T, x[0], y[0])
         c2, k2 = self.right.product_key(S, T, x[1], y[1])
-        return c1 * c2, (k1, k2)
+        # ONE itself when one factor is ONE, for the `c is ONE` fast paths
+        return (c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2), (k1, k2)
 
     def coproduct_key(self, S, T, key):
         img1 = self.left.coproduct_key(S, T, key[0])
@@ -345,17 +349,13 @@ class HadamardModel(SpeciesModel):
             return None
         c1, (a1, b1) = img1
         c2, (a2, b2) = img2
-        return c1 * c2, ((a1, a2), (b1, b2))
+        return (c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2), ((a1, a2), (b1, b2))
 
     def product(self, S, T, x, y):
-        if self.monomial:
-            return SpeciesModel.product(self, S, T, x, y)
         return tensor(self.left.product(S, T, x[0], y[0]),
                       self.right.product(S, T, x[1], y[1]))
 
     def coproduct(self, S, T, key):
-        if self.monomial:
-            return SpeciesModel.coproduct(self, S, T, key)
         pairs = tensor(self.left.coproduct(S, T, key[0]), self.right.coproduct(S, T, key[1]))
         return LinComb.wrap({((a1, a2), (b1, b2)): c
                              for ((a1, b1), (a2, b2)), c in pairs.terms.items()})
@@ -705,17 +705,13 @@ def _associativity(model, F, keys):
 def _coassociativity(model, triples, F, keys):
     for R, S, T in triples:
         for (z,) in keys:
-            lhs = {}
-            for (a, bc), c in model.coproduct(R, S | T, z).terms.items():
-                for (b, d), c2 in model.coproduct(S, T, bc).terms.items():
-                    k = (a, b, d)
-                    lhs[k] = lhs.get(k, ZERO) + c * c2
+            lhs = delta_shape(model, (R, S, T), LinComb.term(z)).terms
             rhs = {}
             for (ab, d), c in model.coproduct(R | S, T, z).terms.items():
                 for (a, b), c2 in model.coproduct(R, S, ab).terms.items():
                     k = (a, b, d)
                     rhs[k] = rhs.get(k, ZERO) + c * c2
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            if lhs != {k: v for k, v in rhs.items() if v}:
                 yield R, S, T, z
 
 
@@ -845,37 +841,18 @@ def _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
 
 
 def _rhs_generic(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
-    if not braid:
-        return {}
-    partial = [((), ONE)]
-    for xi, shape in zip(x, delta_shapes):
-        img = delta_shape(model, shape, LinComb.term(xi))
-        if not img:
-            return {}
-        partial = [(keys + k2, c * c2)
-                   for keys, c in partial for k2, c2 in img.terms.items()]
-    out = {}
-    for keys, c in partial:
+    """The coproducts of the x_i along the F-side splitting, tensored and
+    permuted, then the products along the G-side splitting, tensored."""
+    split = tensor(*[delta_shape(model, shape, LinComb.term(xi))
+                     for xi, shape in zip(x, delta_shapes)])
+    out = []
+    for keys, c in split.terms.items():
         flat = [None] * width
-        for pos, k in enumerate(keys):
+        for pos, k in enumerate(itertools.chain.from_iterable(keys)):
             flat[perm[pos]] = k
-        cur = {(): c * braid}
-        for (a, b), shape in zip(slices, mu_shapes):
-            img = mu_shape(model, shape, LinComb.term(tuple(flat[a:b])))
-            nxt = {}
-            for prefix, cp in cur.items():
-                for k2, c2 in img.terms.items():
-                    w = nxt.get(prefix + (k2,), ZERO) + cp * c2
-                    if w:
-                        nxt[prefix + (k2,)] = w
-            cur = nxt
-        for k2, c2 in cur.items():
-            w = out.get(k2, ZERO) + c2
-            if w:
-                out[k2] = w
-            else:
-                del out[k2]
-    return out
+        out.append(tensor(*[mu_shape(model, shape, LinComb.term(tuple(flat[a:b])))
+                            for (a, b), shape in zip(slices, mu_shapes)]).scale(c * braid))
+    return lc_sum(out).terms
 
 
 def check_higher_compatibility_dec(model, n):
@@ -1010,6 +987,7 @@ def convolve(model, pairs, n, transports=None):
     basis = model.basis(n)
     outs = [{k: {} for k in basis} for _ in pairs]
     monomial, product_key = model.monomial, model.product_key
+    coproducts, products = model.structure_maps()
     for S in submasks(full):
         T = full ^ S
         s, t = popcount(S), popcount(T)
@@ -1023,7 +1001,7 @@ def convolve(model, pairs, n, transports=None):
                     continue
                 cops = (img,)
             else:
-                cops = [(c, pair) for pair, c in model.coproduct(S, T, k).terms.items()]
+                cops = coproducts(S, T, k)
             for fS, gT, out in sides:
                 acc = out[k]
                 for c, (a, b) in cops:
@@ -1042,7 +1020,7 @@ def convolve(model, pairs, n, transports=None):
                                 else:
                                     add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
                             else:
-                                for k2, c2 in model.product(S, T, ka, kb).terms.items():
+                                for c2, k2 in products(S, T, ka, kb):
                                     add_part(acc, den * c2.denominator, k2, na * nb * c2.numerator)
     return [LinMap(basis, basis, {k: lc_from_parts(p) for k, p in out.items()}) for out in outs]
 

@@ -140,17 +140,6 @@ class PrefixTree:
         return g, index[key]
 
 
-def _structure_maps(model):
-    """The coproduct and the product of `model` as (coefficient, image)
-    pairs."""
-    if model.monomial:
-        cop, prod = model.coproduct_key, model.product_key
-        return ((lambda S, T, key: () if (img := cop(S, T, key)) is None else (img,)),
-                (lambda S, T, x, y: (prod(S, T, x, y),)))
-    return ((lambda S, T, key: [(c, p) for p, c in model.coproduct(S, T, key).terms.items()]),
-            (lambda S, T, x, y: [(c, k) for k, c in model.product(S, T, x, y).terms.items()]))
-
-
 def _merge(states, key, den, vec, m):
     """Add m / den times the int vector `vec` to the state `key` of
     `states`, a [denominator, {column: numerator}] pair."""
@@ -192,7 +181,7 @@ def _columns(model, z, seeds, width):
     """
     tree = PrefixTree(model, z)
     nodes, ground = tree.nodes, tree.ground
-    coproducts, products = _structure_maps(model)
+    coproducts, products = model.structure_maps()
     out, pending = {}, {}
     end, edges = nodes[tree.root]
     for key, (den, vec) in seeds.items():

@@ -2,7 +2,7 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (353 tests) took 94-106 s on a 2-core machine (two
+The whole tier-1 suite (373 tests) took 105-128 s on a 2-core machine (three
 runs).  Criterion 1 took 12-14 s: every S_n-equivariant axiom checks one
 instance per orbit once naturality is proved.  Criterion 2 took under 2.5 s, the
 Takeuchi families (one walk for all columns) and the convolutions of the

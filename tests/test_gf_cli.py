@@ -120,6 +120,7 @@ def _assert_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_cli_zero_denominator_q_is_usage_error(capsys):
@@ -323,6 +324,43 @@ def test_cli_dump(capsys):
     # a unit of several keys is written as a linear combination
     assert main(["dump", "dual:SigmaHat:1", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["unit"] == {"()": "1", "(0,)": "1"}
+
+
+# each flag spelling, and a flag repeating its positional value, gives the
+# positional spelling's stdout
+@pytest.mark.parametrize("positional, flags", [
+    ("verify Pi 2", "verify --model Pi --nmax 2"),
+    ("verify Pi 2", "verify Pi 2 --nmax 2"),
+    ("antipode Pi 2 Q closed", "antipode --model Pi --n 2 --basis Q --method closed"),
+    ("antipode Pi 2 H mm-left", "antipode Pi 2 H mm-left --model Pi --method mm-left"),
+    ("idempotents 2", "idempotents --n 2"),
+    ("gf L 3", "gf L --nmax 3"),
+    ("dump E 1", "dump E --n 1"),
+    ("series log-uni --nmax 2", "series --op log-uni --nmax 2"),
+])
+def test_cli_flag_spellings(capsys, positional, flags):
+    assert main(positional.split()) == 0
+    expected = capsys.readouterr().out
+    assert main(flags.split()) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, values", [
+    ("verify Pi 2 --model L", ("Pi", "L")),
+    ("verify Pi 2 --nmax 3", ("2", "3")),
+    ("antipode Pi 2 H closed --n 3", ("2", "3")),
+    ("antipode Pi 2 H closed --basis Q", ("H", "Q")),
+    ("antipode Pi 2 H closed --method takeuchi", ("closed", "takeuchi")),
+    ("series log-uni --op power-laws", ("log-uni", "power-laws")),
+])
+def test_cli_conflicting_spellings_are_usage_errors(capsys, argv, values):
+    err = _assert_usage_error(capsys, argv.split())
+    assert all(v in err for v in values), err
+
+
+@pytest.mark.parametrize("argv", ["verify Pi", "antipode Pi", "series"])
+def test_cli_missing_arguments_are_usage_errors(capsys, argv):
+    _assert_usage_error(capsys, argv.split())
 
 
 def test_cli_deterministic_output(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from species_forge import dual_model
-from species_forge.exactlin import LinComb, LinMap, tensor
+from species_forge.exactlin import ONE, LinComb, LinMap, tensor
 from species_forge import graphs
 from species_forge.models import (
     UnknownModelError,
@@ -68,6 +68,38 @@ def test_model_registry():
 
 # ---------------------------------------------------------------------------
 # basis changes
+
+
+def _hadamard_coefficients(model, nmax):
+    """(coefficient, product of the factors' coefficients) for every
+    product_key and every nonzero coproduct_key of `model` up to nmax."""
+    left, right = model.left, model.right
+    out = []
+    for n in range(nmax + 1):
+        full = full_mask(n)
+        for S in submasks(full):
+            T = full ^ S
+            for x in model.basis_on(S):
+                for y in model.basis_on(T):
+                    out.append((model.product_key(S, T, x, y)[0],
+                                left.product_key(S, T, x[0], y[0])[0]
+                                * right.product_key(S, T, x[1], y[1])[0]))
+            for z in model.basis_on(full):
+                img = model.coproduct_key(S, T, z)
+                if img is not None:
+                    out.append((img[0], left.coproduct_key(S, T, z[0])[0]
+                                * right.coproduct_key(S, T, z[1])[0]))
+    return out
+
+
+def test_hadamard_coefficients_keep_one():
+    # a unit coefficient of a monomial Hadamard product is ONE itself, so the
+    # `c is ONE` fast paths see it; any other is the factors' product
+    plain = _hadamard_coefficients(build("had:L,Pi"), 3)
+    assert plain and all(c is ONE and expected == 1 for c, expected in plain)
+    twisted = _hadamard_coefficients(build("had:Sigmaq:2,Lq:3"), 3)
+    assert all(c == expected for c, expected in twisted)
+    assert any(c != 1 for c, _ in twisted)
 
 
 def test_sigma_q_basis_change_example():
@@ -403,3 +435,6 @@ def test_sigmahat_degree_zero_monoids():
             y = (0,) * q
             assert hat.product(0, 0, x, y) == LinComb.term((0,) * (p + q))
             assert dec_tits(x, y) == (0,) * (p * q)
+    # (0,)(0,0) and (0,0)(0,) are one key, so their difference is zero
+    cancelling = LinComb({((0,), (0, 0)): 1, ((0, 0), (0,)): -1})
+    assert mu_shape(hat, (0, 0), cancelling) == LinComb()

@@ -1,14 +1,18 @@
 """Every exported name resolves, and so does every function the layer tracer
 of perfbench/tracer.py wraps: the tracer fails on a missing name at install
-time, which only a traced benchmark run would otherwise show."""
+time, which only a traced benchmark run would otherwise show.  And the
+choice between a model's monomial maps and its LinComb maps stays behind
+the model layer."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("module", ["species_forge", "species_forge.setcomb",
@@ -29,3 +33,11 @@ def test_tracer_boundaries_exist():
     missing = [(mod, fname) for mod, fname, *_ in boundaries
                if not callable(getattr(mods[mod], fname, None))]
     assert missing == []
+
+
+def test_only_the_model_layer_reads_monomial():
+    # every other module takes the structure maps through
+    # SpeciesModel.structure_maps()
+    readers = {path.name for path in (ROOT / "src" / "species_forge").glob("*.py")
+               if re.search(r"\.monomial\b", path.read_text())}
+    assert readers <= {"species.py", "models.py"}

@@ -160,7 +160,8 @@ def test_hopf_split_identities():
 
 
 def test_axiom_suites_small_degrees():
-    for name in ("E", "L", "Lq:2", "Pi", "Sigma", "Sigmaq:2"):
+    # dual:Sigmaq:2 takes the braiding through the generic (non-monomial) sweep
+    for name in ("E", "L", "Lq:2", "Pi", "Sigma", "Sigmaq:2", "dual:Sigmaq:2"):
         reports = run_axiom_suite(build_model(name), 3)
         assert all(r.ok() for r in reports), name
 
@@ -450,7 +451,7 @@ NON_CONNECTED_SPECS = {"dual:SigmaHat:1": 3, "dual:SigmaHat:2": 3,
                        "had:dual:SigmaHat:1,SigmaHat:1": 2, "dual:had:SigmaHat:1,L": 2,
                        "dual:dual:SigmaHat:2": 2}
 ENGINE_SPECS = ["E", "L", "Pi", "Sigma", "Sigmaq:2", "dual:L", "had:L,Pi", "SigmaHat:2",
-                *NON_CONNECTED_SPECS]
+                *NON_CONNECTED_SPECS, "ProductScaledBySize"]
 
 
 def test_tensor():
@@ -465,11 +466,13 @@ def test_tensor():
 
 @pytest.mark.parametrize("name", ENGINE_SPECS)
 def test_engine_agrees_with_the_structure_maps(name):
-    model = build_model(name)
+    # ProductScaledBySize: a monomial product coefficient other than 1
+    model = ORACLE_MODELS[name][0] if name == "ProductScaledBySize" else build_model(name)
     unit = model.unit()
     assert unit and set(unit.terms) <= set(model.basis_on(0))
     assert mu_shape(model, (), LinComb.term(())) == unit
     assert delta_shape(model, (), unit) == LinComb.term(())
+    coproducts, products = model.structure_maps()
     for n in range(3):
         full = full_mask(n)
         for S in submasks(full):
@@ -478,8 +481,11 @@ def test_engine_agrees_with_the_structure_maps(name):
                 for y in model.basis_on(T):
                     got = mu_shape(model, (S, T), tensor(LinComb.term(x), LinComb.term(y)))
                     assert got == model.product(S, T, x, y), (name, S, T, x, y)
+                    assert [(k, c) for c, k in products(S, T, x, y)] == list(got.terms.items())
             for z in model.basis_on(full):
                 assert delta_shape(model, (S, T), LinComb.term(z)) == model.coproduct(S, T, z)
+                assert ([(p, c) for c, p in coproducts(S, T, z)]
+                        == list(model.coproduct(S, T, z).terms.items()))
 
 
 @pytest.mark.parametrize("name", sorted(NON_CONNECTED_SPECS))
