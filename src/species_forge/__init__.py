@@ -12,7 +12,6 @@ from .kernels import BACKEND
 from .species import (
     NotHopfError,
     SpeciesModel,
-    TensorElement,
     UnsupportedOperation,
     dual_model,
     hadamard,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "LinComb", "LinMap", "Rational", "SingularMapError",
-    "SpeciesModel", "TensorElement", "NotHopfError", "UnsupportedOperation",
+    "SpeciesModel", "NotHopfError", "UnsupportedOperation",
     "dual_model", "hadamard", "higher_mu", "higher_delta", "orbit_count",
     "build_model", "UnknownModelError",
 ]

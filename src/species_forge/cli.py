@@ -491,7 +491,33 @@ def make_parser():
     p.add_argument("--n", dest="n_flag", type=int, default=None)
     p.set_defaults(fn=cmd_dump)
 
+    parser.commands = sub.choices
     return parser
+
+
+def _degree_after_model_flag(parser, argv):
+    """argparse fills positionals left to right, so the 2 of `verify --model
+    Pi 2` would land in the model slot.  A model name is never an integer:
+    when --model is given and the first positional is an integer, the
+    flag's value is put in the model slot in front of it."""
+    p = parser.commands.get(argv[0]) if argv else None
+    if p is None:
+        return argv
+    model = first = None
+    tokens = enumerate(argv[1:], 1)
+    for i, token in tokens:
+        name, eq, value = token.partition("=")
+        action = p._option_string_actions.get(name)
+        if action is None:
+            first = i if first is None else first
+            continue
+        if action.nargs != 0 and not eq:
+            value = next(tokens, (None, None))[1]
+        if action.dest == "model_flag":
+            model = value
+    if model is None or first is None or not argv[first].lstrip("-").isdigit():
+        return argv
+    return argv[:first] + [model] + argv[first:]
 
 
 def _merge_flag(args, name):
@@ -505,7 +531,8 @@ def _merge_flag(args, name):
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_degree_after_model_flag(parser, argv))
     try:
         for name in ("model", "nmax", "n", "basis", "method", "op"):
             _merge_flag(args, name)

@@ -71,8 +71,6 @@ class LinComb:
         lc.terms = terms
         return lc
 
-    zero = classmethod(lambda cls: cls.wrap({}))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -138,23 +136,15 @@ class LinComb:
         return sum((v * other.terms.get(k, ZERO) for k, v in self.terms.items()), ZERO)
 
     def map_keys(self, fn):
-        """Push forward along key -> LinComb (or key -> key)."""
+        """Push forward along key -> key."""
         out = {}
         for k, v in self.terms.items():
             img = fn(k)
-            if isinstance(img, LinComb):
-                for k2, v2 in img.terms.items():
-                    w = out.get(k2, ZERO) + v * v2
-                    if w:
-                        out[k2] = w
-                    else:
-                        del out[k2]
+            w = out.get(img, ZERO) + v
+            if w:
+                out[img] = w
             else:
-                w = out.get(img, ZERO) + v
-                if w:
-                    out[img] = w
-                else:
-                    del out[img]
+                del out[img]
         return LinComb.wrap(out)
 
     def __repr__(self):

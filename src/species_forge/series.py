@@ -20,7 +20,7 @@ from math import factorial
 from .exactlin import ONE, LinComb, add_part, integral, lc_from_parts, merge_parts
 from .kernels import popcount
 from .setcomb import full_mask, mask_labels, submasks
-from .species import NotHopfError, adjacent_transpositions, check_relabel_action
+from .species import NotHopfError, _block_generators, check_relabel_action
 from .titsops import (
     TitsElement,
     binomial_general,
@@ -319,14 +319,15 @@ def is_gh_primitive(x, g, h):
 
 
 def check_invariance(s):
-    """Every component is fixed by relabeling: checked on the adjacent
-    transpositions, which generate S_n once relabeling is known to be an
-    action (the same action check as naturality, run at each degree)."""
+    """Every component is fixed by relabeling: checked on the swap and the
+    cycle of _block_generators, which generate S_n once relabeling is known
+    to be an action (the same action check as naturality, run at each
+    degree)."""
     model = s.model
     for n in range(s.nmax + 1):
         if check_relabel_action(model, n):
             return False
-        for perm in adjacent_transpositions(n):
+        for perm in _block_generators(full_mask(n), n):
             if model.relabel_lc(perm, s.comps[n]) != s.comps[n]:
                 return False
     return True

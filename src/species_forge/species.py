@@ -121,28 +121,6 @@ class SpeciesModel:
         return f"<model {self.name}>"
 
 
-class TensorElement:
-    """An element of the tensor space attached to a decomposition: `shape`
-    is the tuple of block masks, `factors` a LinComb over key tuples with one
-    key (drawn from the block's component) per block."""
-
-    __slots__ = ("shape", "factors")
-
-    def __init__(self, shape, factors):
-        self.shape = tuple(shape)
-        self.factors = factors if isinstance(factors, LinComb) else LinComb(factors)
-        for keys in self.factors.terms:
-            if len(keys) != len(self.shape):
-                raise ValueError("tensor key length does not match the shape")
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and self.shape == other.shape and self.factors == other.factors)
-
-    def __repr__(self):
-        return f"TensorElement(shape={self.shape}, factors={self.factors!r})"
-
-
 def tensor_basis(model, shape):
     """Ordered basis of the tensor space over `shape`: tuples of keys."""
     return tuple(itertools.product(*[model.basis_on(b) for b in shape]))
@@ -235,17 +213,8 @@ def delta_shape_key(model, shape, key, coef=ONE):
     return coef, tuple(keys)
 
 
-def higher_mu(model, shape, tensor):
-    """Public iterated product: TensorElement over `shape` -> LinComb."""
-    if tensor.shape != tuple(shape):
-        raise ValueError("tensor shape does not match the requested shape")
-    return mu_shape(model, tuple(shape), tensor.factors)
-
-
-def higher_delta(model, shape, lc):
-    """Public iterated coproduct: LinComb -> TensorElement over `shape`."""
-    shape = tuple(shape)
-    return TensorElement(shape, delta_shape(model, shape, lc))
+# the public names of the iterated maps, on LinCombs over key tuples
+higher_mu, higher_delta = mu_shape, delta_shape
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +339,18 @@ def hadamard(left, right):
 
 
 def _block_generators(mask, n):
-    """Two permutations of [n] that generate the permutations of the labels
-    in `mask` and fix the rest: the swap of the two lowest labels and the
-    cycle over all of them."""
+    """The generators of the permutations of the labels in `mask`, as
+    permutations of [n] that fix every other label: the swap of the two
+    lowest labels and, on three labels or more, the cycle over all of them.
+    Every check on generators of a symmetric group takes them from here."""
     labels = mask_labels(mask)
     m = len(labels)
     if m < 2:
         return []
     swap = list(range(n))
     swap[labels[0]], swap[labels[1]] = labels[1], labels[0]
+    if m == 2:
+        return [tuple(swap)]
     cycle = list(range(n))
     for j in range(m):
         cycle[labels[j]] = labels[(j + 1) % m]
@@ -388,9 +360,11 @@ def _block_generators(mask, n):
 def orbit_representatives(model, mask, n):
     """One key per orbit on basis_on(mask) of the permutations of [n] that
     fix every label outside `mask`, each the first of its orbit in basis
-    order, found by a search along _block_generators.  Images outside the
-    basis are not followed; the orbits are exact when relabeling is an
-    action that keeps to the basis, as check_relabel_action checks."""
+    order, found by a search along the swap and the cycle of
+    _block_generators, the generators check_naturality proves on.  Images
+    outside the basis are not followed; the orbits are exact when
+    relabeling is an action that keeps to the basis, as
+    check_relabel_action checks."""
     gens = _block_generators(mask, n)
     basis = model.basis_on(mask)
     unseen = set(basis)
@@ -453,40 +427,28 @@ def _triples(full):
     return [(R, S, full ^ R ^ S) for R in submasks(full) for S in submasks(full ^ R)]
 
 
-def _transposition(n, i, j):
-    s = list(range(n))
-    s[i], s[j] = j, i
-    return tuple(s)
-
-
-def adjacent_transpositions(n):
-    """The n-1 generators of S_n that swap labels i and i+1."""
-    return [_transposition(n, i, i + 1) for i in range(n - 1)]
-
-
 def check_relabel_action(model, n):
     """Relabeling is an action of S_n on the keys over every subset of [n]:
     the identity fixes each key, and relabel(s o t) = relabel(s) relabel(t)
-    for every adjacent transposition s and every t in S_n, where
-    (s o t)[i] = s[t[i]].  Each permutation is a word in the generators, so
-    this is functoriality for all of S_n.
+    for every generator s of S_n from _block_generators and every t in S_n,
+    where (s o t)[i] = s[t[i]].  Each permutation is a word in the
+    generators, so this is functoriality for all of S_n.
 
     Two more checks make it the action of a species.  Each generator s
-    sends basis_on(S) into basis_on(sS).  And a swap of two labels outside S
-    that are adjacent among the labels outside S fixes every key over S;
-    those swaps generate the permutations that fix S pointwise, so
-    relabeling a key over S by p depends only on p restricted to S.  These
-    failures are reported as ("relabel", s, S, key), with the mask S."""
+    sends basis_on(S) into basis_on(sS).  And the generators of the
+    permutations of the labels outside S fix every key over S; those
+    permutations are the ones that fix S pointwise, so relabeling a key
+    over S by p depends only on p restricted to S.  These failures are
+    reported as ("relabel", s, S, key), with the mask S."""
     full = full_mask(n)
     perms = list(itertools.permutations(range(n)))  # the identity first
     index = {p: i for i, p in enumerate(perms)}
-    gens = adjacent_transpositions(n)
+    gens = _block_generators(full, n)
     composites = [[(s, index[tuple(s[i] for i in t)]) for s in gens] for t in perms]
     bad = []
     for S in submasks(full):
         targets = [(s, set(model.basis_on(mask_permute(S, s)))) for s in gens]
-        outside = mask_labels(full ^ S)
-        fixers = [_transposition(n, a, b) for a, b in zip(outside, outside[1:])]
+        fixers = _block_generators(full ^ S, n)
         for k in model.basis_on(S):
             images = [model.relabel(t, k) for t in perms]
             if images[0] != k:
@@ -507,18 +469,19 @@ def check_relabel_action(model, n):
 def check_naturality(model, n):
     """Product and coproduct commute with relabeling, for every permutation.
 
-    The squares are checked for the n-1 adjacent transpositions, at every
-    split (S, T) of every subset of [n], and that proves them for all n!
-    permutations.  Each p is a word s_1 ... s_k in the generators.  By the
-    action check, relabeling by p is relabeling by s_k, then ..., then by
-    s_1, and masks compose the same way (mask_permute is an action).  Each
-    step sends a split of a subset to a split of a subset and commutes with
-    the structure maps there, so the composite does too.  The iterated maps
-    along a shape are built from the products and coproducts on such
+    The squares are checked for the generators of S_n from
+    _block_generators (the swap of 0 and 1 and the cycle over [n]), at
+    every split (S, T) of every subset of [n], and that proves them for all
+    n! permutations.  Each p is a word s_1 ... s_k in the generators.  By
+    the action check, relabeling by p is relabeling by s_k, then ..., then
+    by s_1, and masks compose the same way (mask_permute is an action).
+    Each step sends a split of a subset to a split of a subset and commutes
+    with the structure maps there, so the composite does too.  The iterated
+    maps along a shape are built from the products and coproducts on such
     sub-splits, so they are natural as well.  Action failures are reported
     as ("relabel", ...) entries by check_relabel_action."""
     bad = check_relabel_action(model, n)
-    gens = adjacent_transpositions(n)
+    gens = _block_generators(full_mask(n), n)
     for U in submasks(full_mask(n)):
         bU = model.basis_on(U)
         for perm in gens:

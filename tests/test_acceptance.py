@@ -2,11 +2,13 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (373 tests) took 105-128 s on a 2-core machine (three
-runs).  Criterion 1 took 12-14 s: every S_n-equivariant axiom checks one
-instance per orbit once naturality is proved.  Criterion 2 took under 2.5 s, the
-Takeuchi families (one walk for all columns) and the convolutions of the
-Milnor-Moore recursions and `verify_antipode`, all accumulating ints.
+The whole tier-1 suite (387 tests) took 126-137 s on a 2-core machine (two
+runs), about 20 s of it the degree-6 axiom suites of E and L.  Criterion 1
+took 11 s: every S_n-equivariant axiom checks one instance per orbit once
+naturality is proved on the two generators of S_n.  Criterion 2 took about
+1.2 s, the Takeuchi families (one walk for all columns) and the
+convolutions of the Milnor-Moore recursions and `verify_antipode`, all
+accumulating ints.
 Criterion 6 took about 3 s, most of it exact elimination (the kernels of
 the primitive parts and the ranks of the first Eulerian operations).
 Criterion 9 took about 0.2 s, its series calculus accumulating ints.

@@ -337,6 +337,11 @@ def test_cli_dump(capsys):
     ("gf L 3", "gf L --nmax 3"),
     ("dump E 1", "dump E --n 1"),
     ("series log-uni --nmax 2", "series --op log-uni --nmax 2"),
+    # a degree after --model is the degree, not the model
+    ("verify Pi 2", "verify --model Pi 2"),
+    ("gf L 6", "gf --model L 6"),
+    ("dump E 2", "dump --model E 2"),
+    ("antipode Pi 2 H closed", "antipode --model Pi 2 H closed"),
 ])
 def test_cli_flag_spellings(capsys, positional, flags):
     assert main(positional.split()) == 0

@@ -1,6 +1,8 @@
 """The model abstraction: higher structure maps, axiom checkers (including
 a mutation test that must fail), duality, Hadamard products, orbit counts."""
 
+from math import factorial
+
 import pytest
 
 from species_forge import build_model, dual_model, hadamard, orbit_count
@@ -19,15 +21,16 @@ from species_forge.setcomb import (
 )
 from species_forge.species import (
     SpeciesModel,
-    TensorElement,
     UnsupportedOperation,
     _axiom_sweep,
+    _block_generators,
     check_associativity,
     check_axiom,
     check_coassociativity,
     check_compatibility,
     check_higher_compatibility,
     check_naturality,
+    check_relabel_action,
     delta_shape,
     delta_shape_key,
     higher_delta,
@@ -46,24 +49,21 @@ Sigma = build_model("Sigma")
 
 def test_higher_mu_identity_and_unit():
     x = LinComb.term(full_mask(2))
-    t = TensorElement((3,), LinComb.term((full_mask(2),)))
-    assert higher_mu(E, (3,), t) == x
-    empty = TensorElement((), LinComb.term(()))
-    assert higher_mu(E, (), empty) == LinComb.term(0)
+    assert higher_mu(E, (3,), LinComb.term((full_mask(2),))) == x
+    assert higher_mu(E, (), LinComb.term(())) == LinComb.term(0)
 
 
 def test_higher_mu_exponential_merges():
-    t = TensorElement((1, 2), LinComb.term((1, 2)))
-    assert higher_mu(E, (1, 2), t) == LinComb.term(3)
+    assert higher_mu(E, (1, 2), LinComb.term((1, 2))) == LinComb.term(3)
 
 
 def test_higher_delta_examples():
     # one-block coproduct is the identity
     out = higher_delta(L, (3,), LinComb.term(decode_comp("0|1")))
-    assert out.factors == LinComb.term((decode_comp("0|1"),))
+    assert out == LinComb.term((decode_comp("0|1"),))
     # linear orders restrict blockwise
     out = higher_delta(L, (1, 2), LinComb.term(decode_comp("0|1")))
-    assert out.factors == LinComb.term(((1,), (2,)))
+    assert out == LinComb.term(((1,), (2,)))
 
 
 def test_iterated_maps_on_compositions():
@@ -263,8 +263,6 @@ def test_dual_suite_and_flags():
 
 def test_hadamard():
     ll = hadamard(L, L)
-    from math import factorial
-
     for n in range(4):
         assert len(ll.basis(n)) == factorial(n) ** 2
     assert ll.q == 1
@@ -315,6 +313,16 @@ def test_orbit_counts():
         orbit_count(build_model("Lq:2"), 2)
 
 
+@pytest.mark.parametrize("name", ["E", "L"])
+def test_degree_six_axiom_suites(name):
+    # a library call, so no CLI degree budget applies; E took about 4 s and
+    # L 14-16 s on a 2-core machine.  Pi is left out: its degree-6
+    # higher-compatibility sweep alone takes about 26 s
+    reports = run_axiom_suite(build_model(name), 6)
+    assert [r.degree for r in reports] == list(range(7))
+    assert all(r.ok() for r in reports)
+
+
 def test_naturality_check_runs():
     for name in ("Pi", "Sigmaq:2"):
         assert check_axiom(build_model(name), "naturality", 3) == []
@@ -353,6 +361,48 @@ def test_naturality_catches_a_relabeling_that_is_not_an_action():
     bad = check_naturality(BrokenRelabelL(), 5)
     assert bad and {b[0] for b in bad} == {"relabel"}
     assert not check_invariance(Series(BrokenRelabelL(), 5, {}))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_block_generators_generate_the_permutations_of_the_mask(m):
+    # on a full mask and on a mask with gaps: the closure has m! elements,
+    # and each fixes every label outside the mask
+    for mask, n in ((full_mask(m), m), (sum(2 << (2 * j) for j in range(m)), 2 * m + 1)):
+        gens = _block_generators(mask, n)
+        assert len(gens) == (0 if m < 2 else 1 if m == 2 else 2)
+        identity = tuple(range(n))
+        group, frontier = {identity}, [identity]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                gp = tuple(g[i] for i in p)
+                if gp not in group:
+                    group.add(gp)
+                    frontier.append(gp)
+        assert len(group) == factorial(m)
+        outside = [i for i in range(n) if not mask >> i & 1]
+        assert all(p[i] == i for p in group for i in outside)
+
+
+SWAP12 = (0, 2, 1, 3)  # adjacent, but not a generator of S_4
+
+
+class BrokenSwap12L(LinearOrderModel):
+    """Linear orders whose relabeling reverses the degree-4 orders under the
+    transposition (1 2) alone: no generator's square sees it."""
+
+    def relabel(self, perm, key):
+        out = super().relabel(perm, key)
+        return out[::-1] if perm == SWAP12 and len(key) == 4 else out
+
+
+def test_naturality_catches_a_broken_adjacent_transposition():
+    model = BrokenSwap12L()
+    assert check_naturality(model, 3) == []
+    bad = check_naturality(model, 4)
+    assert bad and {b[0] for b in bad} == {"relabel"}
+    assert bad == check_relabel_action(model, 4)
+    assert not check_invariance(Series(model, 4, {}))
 
 
 def test_naturality_catches_a_label_dependent_product():
