@@ -51,7 +51,7 @@ from .titsops import (
     eulerian_decomposition,
     garsia_reutenauer,
     h_power,
-    tits_multiply,
+    tits_left_products,
     tits_unit,
 )
 
@@ -321,10 +321,10 @@ def cmd_idempotents(args):
     checks = {}
     failed = False
     if args.check_orthogonality:
-        ortho = all(
-            tits_multiply(grs[X], grs[Y]) == (grs[X] if X == Y else TitsElement(n, {}))
-            for X in parts for Y in parts)
-        complete = sum(grs.values(), TitsElement(n, {})) == tits_unit(n)
+        zero, ys = TitsElement(n, {}), list(grs.values())  # every E_Y a column of E_X's walk
+        ortho = all(product == (grs[X] if X == Y else zero)
+                    for X in parts for Y, product in zip(parts, tits_left_products(grs[X], ys)))
+        complete = sum(ys, zero) == tits_unit(n)
         checks["orthogonality"] = ortho
         checks["completeness"] = complete
         failed = failed or not (ortho and complete)
@@ -532,7 +532,13 @@ def _merge_flag(args, name):
 def main(argv=None):
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_degree_after_model_flag(parser, argv))
+    # The top-level parser picks the command; argparse cannot read it
+    # intermixed, since it has subparsers.  The command's parser then reads
+    # the rest intermixed: flags first, then every positional in order, so a
+    # positional may follow an interleaved flag (`verify Pi --model Pi 2`).
+    args = parser.parse_args(argv[:1])
+    argv = _degree_after_model_flag(parser, argv)
+    parser.commands[args.command].parse_intermixed_args(argv[1:], args)
     try:
         for name in ("model", "nmax", "n", "basis", "method", "op"):
             _merge_flag(args, name)

@@ -297,7 +297,13 @@ class LinMap:
                       {k: LinComb.wrap(d) for k, d in cols.items()})
 
     def rank(self):
-        return len(_rref(self._rows(), len(self.domain))[1])
+        return len(self.image_basis())
+
+    def image_basis(self):
+        """The domain keys of the pivot columns, in domain order: each
+        column that is not in the span of the columns before it.  Their
+        columns are a basis of the image."""
+        return [self.domain[j] for j in _rref(self._rows(), len(self.domain))[1]]
 
     def kernel_basis(self):
         """Reduced-echelon basis of the kernel, as LinCombs over the domain."""

@@ -11,7 +11,7 @@ from math import factorial, gcd, lcm
 
 from .exactlin import ONE, ZERO, LinComb, LinMap, add_part, integral, lc_from_parts, lc_sum, tensor
 from .kernels import comp_tits, dec_tits, popcount
-from .models import _sigma_Q_to_H
+from .models import CompositionModel, _sigma_Q_to_H
 from .setcomb import (
     compositions_of,
     decompositions_exact,
@@ -253,6 +253,24 @@ def psi_map(model, z, n=None):
     return LinMap(basis, basis, dict(zip(basis, _columns(model, z, seeds, len(basis)))))
 
 
+def tits_left_products(z, ws):
+    """[z·w for w in ws] from one walk of z's prefix tree.  On Sigma with
+    q = 1, in the H basis, the product along F of the coproduct along F
+    sends H_G to H_{FG}, so the characteristic operation of z is left
+    multiplication by z; each w is one column of the walk, with one common
+    denominator per key.  Decompositions have no such identity, and they
+    are refused (a w of another kind or degree than z by `_check`)."""
+    if z.dec:
+        raise ValueError("the Tits product by a walk is defined on compositions only")
+    cols = {}
+    for i, w in enumerate(ws):
+        z._check(w)
+        for F, c in w.coeffs.terms.items():
+            cols.setdefault(F, {})[i] = c
+    seeds = {F: list(integral(col)) for F, col in cols.items()}
+    return [TitsElement(z.n, lc) for lc in _columns(CompositionModel(), z, seeds, len(ws))]
+
+
 # ---------------------------------------------------------------------------
 # classical elements of the Tits algebra
 
@@ -416,20 +434,15 @@ def primitive_dimension_ranks(model, n):
 # the per-partition decomposition and the symmetrized product map
 
 
-def delta_map(model, shape, n):
-    """The iterated coproduct along `shape` as a LinMap to tensor keys."""
-    basis = model.basis(n)
-    cols = {k: delta_shape(model, shape, LinComb.term(k)) for k in basis}
-    codomain = sorted({kk for col in cols.values() for kk in col.terms}, key=repr)
-    return LinMap(basis, codomain, cols)
-
-
 def eulerian_decomposition(model, n, idempotents=None):
     """Per-partition ranks of the partition-idempotent operations.
 
     Returns a report dict with one entry per partition: the rank of the
     operation, the cumulant prediction, and whether the iterated coproduct
-    along a composition with that support is injective on the image.
+    along a composition with that support is injective on the image.  One
+    elimination gives the rank and a basis of the image (the pivot
+    columns); the coproduct is taken on those columns only, and its rank
+    there is the dimension of the image's image.
     """
     if not (model.connected and model.cocommutative):
         raise NotHopfError(f"{model.name} must be cocommutative and connected")
@@ -438,10 +451,12 @@ def eulerian_decomposition(model, n, idempotents=None):
     for X in partitions_of(full_mask(n)):
         z = garsia_reutenauer(X, n) if idempotents is None else idempotents[X]
         pm = psi_map(model, z)
-        rank = pm.rank()
+        image = pm.image_basis()
+        rank = len(image)
         expected = cumulant_partition(model, X)
-        dm = delta_map(model, tuple(X), n)
-        restricted_rank = dm.compose(pm).rank()
+        cols = {k: delta_shape(model, tuple(X), pm.cols[k]) for k in image}
+        codomain = dict.fromkeys(kk for col in cols.values() for kk in col.terms)
+        restricted_rank = LinMap(image, codomain, cols).rank()
         entries.append({
             "partition": X,
             "rank": rank,

@@ -248,6 +248,16 @@ def assert_matches_dense(columns, nrows):
     assert ([list(v.terms.items()) for v in lm.kernel_basis()]
             == [list(v.terms.items()) for v in dense_kernel_basis(lm)])
     assert _inverse_or_rank(LinMap.invert, lm) == _inverse_or_rank(dense_invert, lm)
+    assert_image_basis(lm)
+    assert lm.image_basis() == [dom[j] for j in dense_pivots]
+
+
+def assert_image_basis(lm):
+    """The image basis is independent (the map restricted to it has full
+    rank) and spans the image (that rank is the map's)."""
+    image = lm.image_basis()
+    restricted = LinMap(image, lm.codomain, {k: lm.cols[k] for k in image})
+    assert restricted.rank() == len(image) == lm.rank()
 
 
 entries = st.one_of(
@@ -296,3 +306,12 @@ def test_sparse_elimination_matches_dense_oracle(matrix):
 ])
 def test_sparse_elimination_matches_dense_on_edge_cases(columns, nrows):
     assert_matches_dense(columns, nrows)
+
+
+def test_image_basis_keeps_the_first_of_equal_columns():
+    dom, cod = ("a", "b", "c", "d"), ("y0", "y1")
+    col = LinComb({"y0": 1, "y1": Fraction(2, 3)})
+    lm = LinMap(dom, cod, {"a": LinComb(), "b": col, "c": col.scale(3), "d": col})
+    assert lm.image_basis() == ["b"]
+    assert LinMap.zero(dom, cod).image_basis() == []
+    assert LinMap.zero((), cod).image_basis() == []

@@ -274,6 +274,19 @@ def test_cli_idempotents(capsys):
     assert payload["tables"]["euler1"]["012"] == "1"
 
 
+def test_cli_idempotents_orthogonality_detects_a_scaled_idempotent(capsys, monkeypatch):
+    # 2E is not idempotent: its square is 4E, so a check that always
+    # passed would show here
+    full = cli.full_mask(3)
+    doubled = cli.partitions_of(full)[1]
+    gr = cli.garsia_reutenauer
+    monkeypatch.setattr(cli, "garsia_reutenauer",
+                        lambda X, n: gr(X, n).scale(2) if X == doubled else gr(X, n))
+    assert main(["idempotents", "3", "--check-orthogonality"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["orthogonality"] is False
+
+
 def test_cli_idempotents_decomposition(capsys):
     assert main(["idempotents", "3", "--check-decomposition", "L"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -342,6 +355,8 @@ def test_cli_dump(capsys):
     ("gf L 6", "gf --model L 6"),
     ("dump E 2", "dump --model E 2"),
     ("antipode Pi 2 H closed", "antipode --model Pi 2 H closed"),
+    # a positional after an interleaved flag
+    ("verify Pi 2", "verify Pi --model Pi 2"),
 ])
 def test_cli_flag_spellings(capsys, positional, flags):
     assert main(positional.split()) == 0

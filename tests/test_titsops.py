@@ -48,6 +48,7 @@ from species_forge.titsops import (
     primitive_part,
     psi_map,
     q_basis_in_h,
+    tits_left_products,
     tits_multiply,
     tits_unit,
 )
@@ -100,6 +101,50 @@ def test_tits_multiply_matches_the_term_by_term_product():
             got = tits_multiply(z, w)
             assert got == _tits_multiply_by_terms(z, w), (z, w)
             assert all(type(v) is Fraction for v in got.coeffs.terms.values())
+
+
+def _walk_product_elements(n):
+    """Every Garsia-Reutenauer idempotent and the classical elements of
+    degree n, with coefficients over many denominators, and zero."""
+    out = [garsia_reutenauer(X, n) for X in partitions_of(full_mask(n))]
+    out += [euler_first(n), h_power(Fraction(1, 2), n), h_power(-1, n), tits_unit(n),
+            TitsElement(n, LinComb())]
+    return out + ([dynkin(n)] if n else []) + [pdynkin(i, n) for i in range(n)]
+
+
+def test_tits_left_products_match_tits_multiply():
+    for n in range(5):
+        ws = _walk_product_elements(n)
+        for z in ws:
+            got = tits_left_products(z, ws)
+            assert got == [tits_multiply(z, w) for w in ws], z
+            assert all(type(v) is Fraction for p in got for v in p.coeffs.terms.values())
+
+
+def _one_partition_per_type(n):
+    out = {}
+    for X in partitions_of(full_mask(n)):
+        out.setdefault(tuple(sorted(map(popcount, X))), X)
+    return out
+
+
+@pytest.mark.parametrize("X", list(_one_partition_per_type(5).values()),
+                         ids=lambda X: "+".join(str(popcount(b)) for b in X))
+def test_tits_left_products_of_the_idempotents_at_degree_five(X):
+    # one idempotent per partition type, against all 52: 0.4-2.8 s a case,
+    # nearly all of it in the oracle
+    n = 5
+    ws = [garsia_reutenauer(Y, n) for Y in partitions_of(full_mask(n))]
+    z = garsia_reutenauer(X, n)
+    assert tits_left_products(z, ws) == [tits_multiply(z, w) for w in ws]
+
+
+def test_tits_left_products_refuse_decompositions():
+    z = h_power_dec(2, 2)
+    with pytest.raises(ValueError):
+        tits_left_products(z, [z])
+    with pytest.raises(ValueError):
+        tits_left_products(h_power(2, 2), [z])
 
 
 def test_characteristic_op_is_tits_product_on_sigma():
@@ -492,17 +537,64 @@ def test_eulerian_decomposition_models():
     assert rep["ok"]
 
 
-def test_eulerian_decomposition_detects_corruption():
-    n = 3
+def _corrupted_idempotents(n):
     parts = partitions_of(full_mask(n))
-    idems = {X: garsia_reutenauer(X, n) for X in parts}
-    bad = dict(idems)
+    bad = {X: garsia_reutenauer(X, n) for X in parts}
     X0 = parts[0]
     coeffs = dict(bad[X0].coeffs.terms)
     key = next(iter(coeffs))
     coeffs[key] = coeffs[key] + 1  # perturb one coefficient
     bad[X0] = TitsElement(n, LinComb(coeffs))
-    rep = eulerian_decomposition(Sigma, n, idempotents=bad)
+    return bad
+
+
+def test_eulerian_decomposition_detects_corruption():
+    rep = eulerian_decomposition(Sigma, 3, idempotents=_corrupted_idempotents(3))
+    assert not rep["ok"]
+
+
+def _eulerian_decomposition_by_compose(model, n, idempotents=None):
+    """Reference for eulerian_decomposition: the rank of every operation,
+    and the rank of the iterated coproduct composed with it on the whole
+    basis, in Fractions."""
+    entries = []
+    total = 0
+    basis = model.basis(n)
+    for X in partitions_of(full_mask(n)):
+        z = garsia_reutenauer(X, n) if idempotents is None else idempotents[X]
+        pm = psi_map(model, z)
+        rank = pm.rank()
+        cols = {k: delta_shape(model, tuple(X), LinComb.term(k)) for k in basis}
+        codomain = sorted({kk for col in cols.values() for kk in col.terms}, key=repr)
+        restricted_rank = LinMap(basis, codomain, cols).compose(pm).rank()
+        entries.append({"partition": X, "rank": rank,
+                        "expected": cumulant_partition(model, X),
+                        "delta_injective": restricted_rank == rank})
+        total += rank
+    dim = model.dim(n)
+    return {"degree": n, "entries": entries, "rank_sum": total, "dim": dim,
+            "ok": total == dim and all(e["rank"] == e["expected"] and e["delta_injective"]
+                                       for e in entries)}
+
+
+@pytest.mark.parametrize("model", [E, L, Pi, G, Sigma], ids=lambda m: m.name)
+def test_eulerian_decomposition_matches_the_composed_ranks(model):
+    for n in range(5):
+        assert eulerian_decomposition(model, n) == _eulerian_decomposition_by_compose(model, n)
+    for n in (2, 3):
+        bad = _corrupted_idempotents(n)
+        assert (eulerian_decomposition(model, n, bad)
+                == _eulerian_decomposition_by_compose(model, n, bad))
+
+
+def test_eulerian_decomposition_sees_a_coproduct_that_is_not_injective():
+    # the unit acts as the identity, and on L the coproduct along two or
+    # more blocks forgets the relative order of labels in different blocks
+    n = 3
+    rep = eulerian_decomposition(L, n, idempotents={X: tits_unit(n)
+                                                   for X in partitions_of(full_mask(n))})
+    assert [e["delta_injective"] for e in rep["entries"]] == [len(e["partition"]) == 1
+                                                              for e in rep["entries"]]
     assert not rep["ok"]
 
 
