@@ -43,7 +43,7 @@ from .setcomb import (
     partitions_of,
     submasks,
 )
-from .species import NotHopfError, run_axiom_suite, sweep_instances
+from .species import DualModel, HadamardModel, NotHopfError, run_axiom_suite, sweep_instances
 from .titsops import (
     TitsElement,
     dynkin,
@@ -72,7 +72,14 @@ class UsageError(Exception):
 
 
 def key_encoder(model, n):
-    """Text encoding of basis keys, chosen by model family."""
+    """Text encoding of basis keys, chosen by model family.  A dual reuses
+    its primal's keys and encoding; a Hadamard key is its factors' keys
+    joined by `&`, which no other encoding uses."""
+    if isinstance(model, DualModel):
+        return key_encoder(model.primal, n)
+    if isinstance(model, HadamardModel):
+        left, right = key_encoder(model.left, n), key_encoder(model.right, n)
+        return lambda k: f"{left(k[0])}&{right(k[1])}"
     family = model.family
     if family in ("Sigma", "QSigma", "L"):
         return encode_comp
@@ -120,7 +127,7 @@ def _build(args):
     name = args.model
     if name is None:
         raise UsageError("a model is required")
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         if name == "L":
             name = f"Lq:{args.q}"
         elif name == "Sigma":
@@ -195,8 +202,11 @@ def _emit(payload, args, table=None):
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         _write(text)
 
@@ -233,8 +243,7 @@ def cmd_antipode(args):
     n = args.n
     _check_budget(name, model, n)
     if not model.connected:
-        print(f"error: {name} is not a Hopf monoid", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise NotHopfError(f"{name} is not a Hopf monoid")
     if args.method == "closed" and not has_closed_form(model):
         raise UsageError(f"no closed antipode form registered for {name}")
     checked = model if args.basis == "H" else q_view(model)
@@ -243,11 +252,7 @@ def cmd_antipode(args):
         methods = ["takeuchi", "mm-left", "mm-right"]
         if has_closed_form(model) or (args.basis == "Q"):
             methods.append("closed")
-    try:
-        fams = antipode_families(checked, n, methods)
-    except NotHopfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    fams = antipode_families(checked, n, methods)
     table = fams[args.method][n]
     enc = key_encoder(model, n)
     payload = {
@@ -278,8 +283,7 @@ def cmd_gf(args):
     if nmax > MAX_DEGREE:
         raise UsageError(f"degree {nmax} exceeds the maximum degree {MAX_DEGREE}")
     if not model.connected:
-        print(f"error: {name} is not a Hopf monoid", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise NotHopfError(f"{name} is not a Hopf monoid")
     # orbit counting enumerates every degree-nmax key of a set-theoretic model
     if model.set_theoretic and nmax > _max_n_override() and model.dim(nmax) > GF_MAX_KEYS:
         raise UsageError(f"type counts of {name} at degree {nmax} would enumerate "
@@ -321,9 +325,10 @@ def cmd_idempotents(args):
     checks = {}
     failed = False
     if args.check_orthogonality:
-        zero, ys = TitsElement(n, {}), list(grs.values())  # every E_Y a column of E_X's walk
+        zero, ys = TitsElement(n, {}), list(grs.values())  # every E_Y a column of each E_X's walk
         ortho = all(product == (grs[X] if X == Y else zero)
-                    for X in parts for Y, product in zip(parts, tits_left_products(grs[X], ys)))
+                    for X, products in zip(parts, tits_left_products(ys, ys))
+                    for Y, product in zip(parts, products))
         complete = sum(ys, zero) == tits_unit(n)
         checks["orthogonality"] = ortho
         checks["completeness"] = complete
@@ -429,132 +434,106 @@ def cmd_dump(args):
 # ---------------------------------------------------------------------------
 
 
+# Each command's positional slots, in order, with the converter or the
+# choices of each.  A slot is filled by its positional word or by its
+# --<slot> flag (`_fill_slots`).
+SLOTS = {
+    "verify": {"model": str, "nmax": int},
+    "antipode": {"model": str, "n": int, "basis": ("H", "Q"), "method": METHODS},
+    "gf": {"model": str, "nmax": int},
+    "idempotents": {"n": int},
+    "series": {"op": str},
+    "dump": {"model": str, "n": int},
+}
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="species-forge",
         description="Exact computations in Hopf monoids on set-indexed components",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model=True):
-        if model:
-            p.add_argument("model", nargs="?", default=None)
-            p.add_argument("--model", dest="model_flag", default=None)
-            p.add_argument("--q", default=None)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify", help="run the axiom suite")
-    common(p)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("nmax", nargs="?", type=int, default=None)
-    p.add_argument("--nmax", dest="nmax_flag", type=int, default=None)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("antipode", help="antipode tables")
-    common(p)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("n", nargs="?", type=int, default=None)
-    p.add_argument("basis", nargs="?", choices=("H", "Q"), default=None)
-    p.add_argument("method", nargs="?", choices=METHODS, default=None)
-    p.add_argument("--n", dest="n_flag", type=int, default=None)
-    p.add_argument("--basis", dest="basis_flag", choices=("H", "Q"), default=None)
-    p.add_argument("--method", dest="method_flag", choices=METHODS, default=None)
-    p.add_argument("--cross-check", action="store_true")
-    p.set_defaults(fn=cmd_antipode)
-
-    p = sub.add_parser("gf", help="dimension-sequence transforms")
-    common(p)
-    p.add_argument("nmax", nargs="?", type=int, default=None)
-    p.add_argument("--nmax", dest="nmax_flag", type=int, default=None)
-    p.set_defaults(fn=cmd_gf)
-
-    p = sub.add_parser("idempotents", help="idempotent tables and checks")
-    common(p, model=False)
-    p.add_argument("n", nargs="?", type=int, default=None)
-    p.add_argument("--n", dest="n_flag", type=int, default=None)
+    for command, fn, about in (
+            ("verify", cmd_verify, "run the axiom suite"),
+            ("antipode", cmd_antipode, "antipode tables"),
+            ("gf", cmd_gf, "dimension-sequence transforms"),
+            ("idempotents", cmd_idempotents, "idempotent tables and checks"),
+            ("series", cmd_series, "series calculus reports"),
+            ("dump", cmd_dump, "structure-constant dump")):
+        slots = SLOTS[command]
+        p = sub.add_parser(command, help=about,
+                           usage=f"%(prog)s {' '.join(slots)} [options]")
+        for slot, kind in slots.items():
+            p.add_argument(f"--{slot}", **{"type" if callable(kind) else "choices": kind})
+        if command != "idempotents":
+            p.add_argument("--q")
+        p.add_argument("--out")
+        p.set_defaults(fn=fn)
+    for command in ("verify", "antipode"):
+        sub.choices[command].add_argument("--format", choices=("json", "table"), default="json")
+    sub.choices["antipode"].add_argument("--cross-check", action="store_true")
+    p = sub.choices["idempotents"]
     p.add_argument("--check-orthogonality", action="store_true")
-    p.add_argument("--check-decomposition", metavar="MODEL", default=None)
-    p.set_defaults(fn=cmd_idempotents)
-
-    p = sub.add_parser("series", help="series calculus reports")
-    common(p, model=False)
-    p.add_argument("op", nargs="?", default=None)
-    p.add_argument("--op", dest="op_flag", default=None)
-    p.add_argument("--model", dest="model", default=None)
-    p.add_argument("--q", dest="q", default=None)
-    p.add_argument("--nmax", dest="nmax", type=int, default=3)
-    p.set_defaults(fn=cmd_series)
-
-    p = sub.add_parser("dump", help="structure-constant dump")
-    common(p)
-    p.add_argument("n", nargs="?", type=int, default=None)
-    p.add_argument("--n", dest="n_flag", type=int, default=None)
-    p.set_defaults(fn=cmd_dump)
-
+    p.add_argument("--check-decomposition", metavar="MODEL")
+    p = sub.choices["series"]
+    p.add_argument("--model")
+    p.add_argument("--nmax", type=int, default=3)
     parser.commands = sub.choices
     return parser
 
 
-def _degree_after_model_flag(parser, argv):
-    """argparse fills positionals left to right, so the 2 of `verify --model
-    Pi 2` would land in the model slot.  A model name is never an integer:
-    when --model is given and the first positional is an integer, the
-    flag's value is put in the model slot in front of it."""
-    p = parser.commands.get(argv[0]) if argv else None
-    if p is None:
-        return argv
-    model = first = None
-    tokens = enumerate(argv[1:], 1)
-    for i, token in tokens:
-        name, eq, value = token.partition("=")
-        action = p._option_string_actions.get(name)
-        if action is None:
-            first = i if first is None else first
-            continue
-        if action.nargs != 0 and not eq:
-            value = next(tokens, (None, None))[1]
-        if action.dest == "model_flag":
-            model = value
-    if model is None or first is None or not argv[first].lstrip("-").isdigit():
-        return argv
-    return argv[:first] + [model] + argv[first:]
+def _is_int(word):
+    return word.removeprefix("-").isdigit()
 
 
-def _merge_flag(args, name):
-    """--name spells the positional `name`; both only with equal values."""
-    v = getattr(args, name + "_flag", None)
-    if v is not None:
-        if getattr(args, name) not in (None, v):
-            raise UsageError(f"{name} given as {getattr(args, name)} and as --{name} {v}")
-        setattr(args, name, v)
+def _fill_slots(p, args, words):
+    """Fill the command's slots from the words argparse left over, in order.
+    A flag may repeat its positional only with the same value.  A model name
+    is never an integer, so when --model is given an integer first word
+    fills the slot after the model's (`verify --model Pi 2`).  basis
+    defaults to H and method to takeuchi; every other slot is required, and
+    a degree must be >= 0.  A word that looks like an option and comes
+    before `--` is one that argparse did not know, and it exits as argparse
+    does."""
+    cut = words.index("--") if "--" in words else len(words)
+    for word in words[:cut]:
+        if word.startswith("-") and not _is_int(word):
+            p.error(f"unrecognized arguments: {word}")
+    words = words[:cut] + words[cut + 1:]
+    slots = dict(SLOTS[args.command])
+    if "model" in slots and args.model is not None and words and _is_int(words[0]):
+        del slots["model"]
+    if len(words) > len(slots):
+        p.error(f"unrecognized arguments: {' '.join(words[len(slots):])}")
+    for (slot, kind), word in zip(slots.items(), words):
+        if not callable(kind) and word not in kind:
+            p.error(f"argument {slot}: invalid choice: {word!r} "
+                    f"(choose from {', '.join(map(repr, kind))})")
+        try:
+            value = kind(word) if callable(kind) else word
+        except ValueError:
+            p.error(f"argument {slot}: invalid {kind.__name__} value: {word!r}")
+        if getattr(args, slot) not in (None, value):
+            raise UsageError(f"{slot} given as {value} and as --{slot} {getattr(args, slot)}")
+        setattr(args, slot, value)
+    defaults = {"basis": "H", "method": "takeuchi"}
+    for slot in SLOTS[args.command]:
+        if getattr(args, slot) is None:
+            if slot not in defaults:
+                raise UsageError(f"{slot} is required")
+            setattr(args, slot, defaults[slot])
+    for degree in ("nmax", "n"):
+        if (getattr(args, degree, None) or 0) < 0:
+            raise UsageError(f"{degree} must be >= 0")
 
 
 def main(argv=None):
+    """Run one command; every error ends here in its exit code.  argparse
+    reads the flags wherever they stand, and `_fill_slots` the rest."""
     parser = make_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser picks the command; argparse cannot read it
-    # intermixed, since it has subparsers.  The command's parser then reads
-    # the rest intermixed: flags first, then every positional in order, so a
-    # positional may follow an interleaved flag (`verify Pi --model Pi 2`).
-    args = parser.parse_args(argv[:1])
-    argv = _degree_after_model_flag(parser, argv)
-    parser.commands[args.command].parse_intermixed_args(argv[1:], args)
+    args, words = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
     try:
-        for name in ("model", "nmax", "n", "basis", "method", "op"):
-            _merge_flag(args, name)
-        if hasattr(args, "basis") and args.basis is None:
-            args.basis = "H"
-        if hasattr(args, "method") and args.method is None:
-            args.method = "takeuchi"
-        if getattr(args, "nmax", None) is None and args.command in ("verify", "gf"):
-            raise UsageError("nmax is required")
-        if getattr(args, "n", None) is None and args.command in ("antipode", "idempotents", "dump"):
-            raise UsageError("n is required")
-        if getattr(args, "op", None) is None and args.command == "series":
-            raise UsageError("a series op is required")
-        for degree in ("nmax", "n"):
-            if (getattr(args, degree, None) or 0) < 0:
-                raise UsageError(f"{degree} must be >= 0")
+        _fill_slots(parser.commands[args.command], args, words)
         return args.fn(args)
     except (UsageError, UnknownModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

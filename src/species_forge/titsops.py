@@ -253,22 +253,28 @@ def psi_map(model, z, n=None):
     return LinMap(basis, basis, dict(zip(basis, _columns(model, z, seeds, len(basis)))))
 
 
-def tits_left_products(z, ws):
-    """[z·w for w in ws] from one walk of z's prefix tree.  On Sigma with
-    q = 1, in the H basis, the product along F of the coproduct along F
-    sends H_G to H_{FG}, so the characteristic operation of z is left
-    multiplication by z; each w is one column of the walk, with one common
-    denominator per key.  Decompositions have no such identity, and they
-    are refused (a w of another kind or degree than z by `_check`)."""
-    if z.dec:
-        raise ValueError("the Tits product by a walk is defined on compositions only")
+def tits_left_products(zs, ws):
+    """[[z·w for w in ws] for z in zs], one walk of each z's prefix tree.  On
+    Sigma with q = 1, in the H basis, the product along F of the coproduct
+    along F sends H_G to H_{FG}, so the characteristic operation of z is
+    left multiplication by z; each w is one column of the walk, with one
+    common denominator per key, and the columns are seeded once for every z.
+    Decompositions have no such identity, and they are refused (a w of
+    another kind or degree than z by `_check`)."""
     cols = {}
     for i, w in enumerate(ws):
-        z._check(w)
         for F, c in w.coeffs.terms.items():
             cols.setdefault(F, {})[i] = c
     seeds = {F: list(integral(col)) for F, col in cols.items()}
-    return [TitsElement(z.n, lc) for lc in _columns(CompositionModel(), z, seeds, len(ws))]
+    out = []
+    for z in zs:
+        if z.dec:
+            raise ValueError("the Tits product by a walk is defined on compositions only")
+        for w in ws:
+            z._check(w)
+        out.append([TitsElement(z.n, lc)
+                    for lc in _columns(CompositionModel(), z, seeds, len(ws))])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -336,7 +337,22 @@ def test_cli_dump(capsys):
     assert {"S": "01", "T": "", "x": "01", "y": "", "out": {"01": "1"}} in payload["product"]
     # a unit of several keys is written as a linear combination
     assert main(["dump", "dual:SigmaHat:1", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["unit"] == {"()": "1", "(0,)": "1"}
+    assert json.loads(capsys.readouterr().out)["unit"] == {"": "1", "|": "1"}
+
+
+def test_cli_dual_and_hadamard_keys_are_in_the_wire_format(capsys):
+    # a dual key is written as its primal's, a Hadamard key as its factors'
+    # joined by &
+    assert main(["antipode", "dual:Sigma", "2", "H", "takeuchi"]) == 0
+    assert json.loads(capsys.readouterr().out)["columns"]["0|1"] == {"01": "1", "1|0": "1"}
+    assert main(["antipode", "had:L,Pi", "2", "H", "takeuchi"]) == 0
+    columns = json.loads(capsys.readouterr().out)["columns"]
+    assert sorted(columns) == ["0|1&0.1", "0|1&01", "1|0&0.1", "1|0&01"]
+    assert columns["0|1&0.1"] == {"1|0&0.1": "1"}
+    assert main(["dump", "had:E,dual:Pi", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["unit"] == "&"
+    assert payload["coproduct"][0]["out"] == {"&(x)0&0": "1"}
 
 
 # each flag spelling, and a flag repeating its positional value, gives the
@@ -357,6 +373,12 @@ def test_cli_dump(capsys):
     ("antipode Pi 2 H closed", "antipode --model Pi 2 H closed"),
     # a positional after an interleaved flag
     ("verify Pi 2", "verify Pi --model Pi 2"),
+    # argparse reads every flag: abbreviations, --flag=value, and --
+    ("verify Pi 2", "verify --mod Pi 2"),
+    ("verify Pi 2", "verify --model=Pi --nmax=2"),
+    ("antipode Pi 2 H closed", "antipode --method closed --basis H --n 2 --model Pi"),
+    ("idempotents 2", "idempotents --n=2"),
+    ("verify Pi 2", "verify -- Pi 2"),
 ])
 def test_cli_flag_spellings(capsys, positional, flags):
     assert main(positional.split()) == 0
@@ -381,6 +403,25 @@ def test_cli_conflicting_spellings_are_usage_errors(capsys, argv, values):
 @pytest.mark.parametrize("argv", ["verify Pi", "antipode Pi", "series"])
 def test_cli_missing_arguments_are_usage_errors(capsys, argv):
     _assert_usage_error(capsys, argv.split())
+
+
+# an extra word, a word that does not convert, and a word in a slot whose
+# flag holds another value (H lands in the model slot)
+@pytest.mark.parametrize("argv", ["verify Pi 2 3", "verify Pi x", "antipode Pi 2 X",
+                                  "antipode --model Pi --n 2 H closed"])
+def test_cli_bad_slot_words_exit_2(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse's own exit
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        err = _assert_usage_error(capsys, ["verify", "E", "2", "--out", str(out)])
+        assert str(out) in err
 
 
 def test_cli_deterministic_output(tmp_path):
@@ -427,6 +468,27 @@ def _models(depth):
 MODELS = _models(2)
 DEGREES = st.integers(-1, 2).map(str)
 FORMAT = st.sampled_from([[], ["--format", "table"]])
+MISSING_DIR_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "no-such-directory", "out.json")
+# --n and --op have no unambiguous abbreviation (--op beside --out)
+ABBREVIATIONS = {"model": "--mod", "nmax": "--nm", "n": "--n", "basis": "--ba",
+                 "method": "--met", "op": "--op"}
+
+
+@st.composite
+def slot_words(draw, slots):
+    """Each (slot, value) as a positional word, as --slot v, as --slot=v, or
+    under an abbreviated flag; the positional words in slot order."""
+    positional, flags = [], []
+    for slot, value in slots:
+        spelling = draw(st.sampled_from(["word", "flag", "flag=", "abbreviated"]))
+        if spelling == "word":
+            positional.append(value)
+        elif spelling == "flag=":
+            flags.append(f"--{slot}={value}")
+        else:
+            flags += [ABBREVIATIONS[slot] if spelling == "abbreviated" else f"--{slot}", value]
+    return positional + flags
 
 
 @st.composite
@@ -434,23 +496,29 @@ def cli_inputs(draw):
     command = draw(st.sampled_from(["verify", "antipode", "gf", "idempotents",
                                     "series", "dump"]))
     if command == "idempotents":
-        argv = [command, draw(DEGREES)]
+        argv = [command] + draw(slot_words([("n", draw(DEGREES))]))
         if draw(st.booleans()):
             argv.append("--check-orthogonality")
         if draw(st.booleans()):
             argv += ["--check-decomposition", draw(MODELS)]
     elif command == "series":
         op = draw(st.sampled_from(["log-uni", "exp-log", "power-laws", "bogus"]))
-        argv = [command, op, "--model", draw(MODELS), "--nmax", draw(DEGREES)]
+        argv = [command] + draw(slot_words([("op", op)]))
+        argv += ["--model", draw(MODELS), "--nmax", draw(DEGREES)]
     else:
-        argv = [command, draw(MODELS), draw(DEGREES)]
+        slots = [("model", draw(MODELS)), ("nmax" if command in ("verify", "gf") else "n",
+                                           draw(DEGREES))]
         if command == "antipode":
-            argv += [draw(st.sampled_from(["H", "Q"])),
-                     draw(st.sampled_from(["takeuchi", "mm-left", "mm-right", "closed"]))]
-            if draw(st.booleans()):
-                argv.append("--cross-check")
+            slots += [("basis", draw(st.sampled_from(["H", "Q"]))),
+                      ("method", draw(st.sampled_from(["takeuchi", "mm-left", "mm-right",
+                                                       "closed"])))]
+        argv = [command] + draw(slot_words(slots))
+        if command == "antipode" and draw(st.booleans()):
+            argv.append("--cross-check")
     if command != "idempotents" and draw(st.sampled_from([False, False, False, True])):
         argv += ["--q", draw(Q_STRINGS)]
+    if draw(st.sampled_from([False, False, False, True])):
+        argv += ["--out", MISSING_DIR_OUT]
     return argv + draw(FORMAT)
 
 
