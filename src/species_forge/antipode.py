@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from . import graphs
-from .exactlin import LinComb, LinMap
+from .exactlin import ONE, ZERO, LinComb, LinMap
 from .kernels import dist_opp, popcount
 from .setcomb import (
     comp_opp,
@@ -24,9 +24,6 @@ from .setcomb import (
 )
 from .species import NotHopfError, convolve, identity_family, unit_family
 from .titsops import characteristic_op, h_power, psi_map
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 METHODS = ("takeuchi", "mm-left", "mm-right", "closed")
 

@@ -10,6 +10,7 @@ structure.  Output is deterministic: canonical basis orders, sorted keys.
 """
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -191,6 +192,22 @@ def _write(text):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _check_out(path):
+    """Refuse an --out that cannot be written before the work starts: a
+    directory, a missing directory, or no write permission.  The file is not
+    opened, so a run that fails later leaves an existing file as it was."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(folder):
+        err = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write --out {path}: {os.strerror(err)}")
 
 
 def _emit(payload, args, table=None):
@@ -534,6 +551,8 @@ def main(argv=None):
     args, words = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
     try:
         _fill_slots(parser.commands[args.command], args, words)
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (UsageError, UnknownModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,10 +5,8 @@ ordinary/type ratio, with exact nonnegativity verdicts."""
 from fractions import Fraction
 from math import comb, factorial
 
+from .exactlin import ONE, ZERO
 from .species import orbit_count
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def series_inverse(coeffs):

@@ -138,45 +138,17 @@ def contraction_lattice(g, vmask):
 
 
 def acyclic_orientations(g, vmask):
-    """Count acyclic orientations by brute force over all edge orientations."""
-    edges = edge_list(g & all_edges_mask(vmask))
-    m = len(edges)
-    verts = mask_labels(vmask)
-    count = 0
-    for bits in range(1 << m):
-        adj = {v: [] for v in verts}
-        for t, (i, j) in enumerate(edges):
-            if (bits >> t) & 1:
-                adj[i].append(j)
-            else:
-                adj[j].append(i)
-        if _is_dag(adj, verts):
-            count += 1
-    return count
-
-
-def _is_dag(adj, verts):
-    state = {v: 0 for v in verts}  # 0 unseen, 1 on stack, 2 done
-    for root in verts:
-        if state[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return True
+    """Count acyclic orientations by their sources.  Each one has a nonempty
+    independent set of sources, so by inclusion-exclusion on that set
+    a(V) = sum over nonempty independent I in V of (-1)^(|I|+1) a(V - I),
+    with a(empty) = 1."""
+    nonempty = submasks(vmask)[1:]
+    independent = {i for i in nonempty if not g & all_edges_mask(i)}
+    count = {0: 1}
+    for v in nonempty:
+        count[v] = sum((-1) ** (i.bit_count() + 1) * count[v ^ i]
+                       for i in independent if not i & ~v)
+    return count[vmask]
 
 
 def complete_on_partition(x):

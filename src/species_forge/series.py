@@ -17,20 +17,19 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .exactlin import ONE, LinComb, add_part, integral, lc_from_parts, merge_parts
+from .exactlin import ONE, ZERO, LinComb, add_part, integral, lc_from_parts, merge_parts
 from .kernels import popcount
 from .setcomb import full_mask, mask_labels, submasks
 from .species import NotHopfError, _block_generators, check_relabel_action
 from .titsops import (
-    TitsElement,
     binomial_general,
     euler_first,
     h_power,
     is_primitive,
+    primitive_part,
     psi_map,
+    tits_unit,
 )
-
-ZERO = Fraction(0)
 
 
 class Series:
@@ -342,9 +341,7 @@ def uni_series(model, nmax):
     per degree (unit in degree 0)."""
     if model.family != "Sigma":
         raise ValueError("the universal series lives in the composition model")
-    comps = {0: LinComb.term(())}
-    for n in range(1, nmax + 1):
-        comps[n] = LinComb.term((full_mask(n),))
+    comps = {n: tits_unit(n).coeffs for n in range(nmax + 1)}
     return Series(model, nmax, comps)
 
 
@@ -378,8 +375,6 @@ def primitive_series_witnesses(model, nmax):
     """Invariant primitive series obtained by symmetrizing a primitive basis
     per degree (degreewise-concentrated; symmetrizations that vanish are
     dropped)."""
-    from .titsops import primitive_part
-
     out = []
     for n in range(1, nmax + 1):
         vectors = [integral(v.terms) for v in primitive_part(model, n)]
@@ -405,8 +400,7 @@ def primitive_series_witnesses(model, nmax):
 
 
 def tits_series_uni(n):
-    key = (full_mask(n),) if n else ()
-    return TitsElement(n, LinComb.term(key))
+    return tits_unit(n)
 
 
 def tits_series_euler(n):

@@ -369,26 +369,7 @@ def quasi_shuffles(f, g):
 
 def shuffles(f, g):
     """Interleavings without merging; for linear orders these are shuffles."""
-    if _union(f) & _union(g):
-        raise ValueError("shuffle requires disjoint ground sets")
-    out = []
-    acc = []
-
-    def rec(i, j):
-        if i == len(f) and j == len(g):
-            out.append(tuple(acc))
-            return
-        if i < len(f):
-            acc.append(f[i])
-            rec(i + 1, j)
-            acc.pop()
-        if j < len(g):
-            acc.append(g[j])
-            rec(i, j + 1)
-            acc.pop()
-
-    rec(0, 0)
-    return tuple(out)
+    return tuple(h for h in quasi_shuffles(f, g) if len(h) == len(f) + len(g))
 
 
 def splittings(f, g):

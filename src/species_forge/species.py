@@ -111,11 +111,7 @@ class SpeciesModel:
     # -- conveniences -------------------------------------------------------
 
     def relabel_lc(self, perm, lc):
-        out = {}
-        for k, v in lc.terms.items():
-            k2 = self.relabel(perm, k)
-            out[k2] = out.get(k2, ZERO) + v
-        return LinComb.wrap({k: v for k, v in out.items() if v})
+        return lc.map_keys(lambda k: self.relabel(perm, k))
 
     def __repr__(self):
         return f"<model {self.name}>"

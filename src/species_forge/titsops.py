@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .exactlin import ONE, ZERO, LinComb, LinMap, add_part, integral, lc_from_parts, lc_sum, tensor
+from .gf import log_egf
 from .kernels import comp_tits, dec_tits, popcount
 from .models import CompositionModel, _sigma_Q_to_H
 from .setcomb import (
@@ -17,7 +18,6 @@ from .setcomb import (
     decompositions_exact,
     full_mask,
     mask_labels,
-    mobius_partition,
     partitions_of,
     positive_part,
     submasks,
@@ -381,8 +381,7 @@ def primitive_part(model, n):
             for pair, c in model.coproduct(S, T, k).terms.items():
                 key = (S, pair)
                 cols[k][key] = cols[k].get(key, ZERO) + c
-    codomain = sorted({key for col in cols.values() for key in col},
-                      key=repr)
+    codomain = dict.fromkeys(key for col in cols.values() for key in col)
     lm = LinMap(basis, codomain,
                 {k: LinComb.wrap({kk: v for kk, v in col.items() if v})
                  for k, col in cols.items()})
@@ -407,16 +406,11 @@ def indecomposable_quotient_dim(model, n):
 
 
 def cumulant(model, n):
-    """Alternating partition-lattice sum of products of dimensions."""
+    """n! times the degree-n coefficient of the logarithm of the dimension
+    EGF: the alternating partition-lattice sum of products of dimensions."""
     if n == 0:
         return 0
-    bottom = (full_mask(n),)
-    total = ZERO
-    for y in partitions_of(full_mask(n)):
-        prod = 1
-        for b in y:
-            prod *= model.dim(popcount(b))
-        total += mobius_partition(bottom, y) * prod
+    total = factorial(n) * log_egf([model.dim(m) for m in range(n + 1)])[n - 1]
     assert total.denominator == 1
     return int(total)
 

@@ -2,8 +2,8 @@
 stated degrees with exact equality, and prints one PASS line when it holds.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
-The whole tier-1 suite (405 tests) took 113 s on a 2-core machine (one
-run), about 20 s of it the degree-6 axiom suites of E and L.  Criterion 1
+The whole tier-1 suite took about 110 s on a 2-core machine (one run),
+about 20 s of it the degree-6 axiom suites of E and L.  Criterion 1
 took 9 s: every S_n-equivariant axiom checks one instance per orbit once
 naturality is proved on the two generators of S_n.  Criterion 2 took about
 1.2 s, the Takeuchi families (one walk for all columns) and the

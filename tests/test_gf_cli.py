@@ -22,7 +22,7 @@ from species_forge.gf import (
     sequence_transform_report,
     series_multiply,
 )
-from species_forge.species import sweep_instances
+from species_forge.species import NotHopfError, sweep_instances
 
 
 def poly_inverse_oracle(dims, nterms):
@@ -418,10 +418,22 @@ def test_cli_bad_slot_words_exit_2(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cli_unwritable_out_is_usage_error(tmp_path, capsys):
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before the work: the axiom suite is never reached
+    def work(*_):
+        raise NotHopfError("the work was reached")
+
+    monkeypatch.setattr(cli, "run_axiom_suite", work)
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         err = _assert_usage_error(capsys, ["verify", "E", "2", "--out", str(out)])
         assert str(out) in err
+    # a writable --out is not opened up front: a run that fails after the
+    # check leaves the existing file as it was
+    out = tmp_path / "x.json"
+    out.write_text("kept\n")
+    assert main(["verify", "E", "2", "--out", str(out)]) == 3
+    assert "the work was reached" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_cli_deterministic_output(tmp_path):

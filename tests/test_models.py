@@ -2,7 +2,9 @@
 (checked against conjugation by the triangular change of basis), graph
 utilities, morphisms, and self-duality maps."""
 
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -27,6 +29,7 @@ from species_forge.models import (
 from species_forge.setcomb import (
     cyclic_factorial,
     full_mask,
+    mask_labels,
     submasks,
     support,
 )
@@ -214,6 +217,38 @@ def test_graph_utilities():
     assert graphs.contract(path, (0b011, 0b100)) == 1  # single edge after merging {01}
     assert graphs.restrict_to_partition(path, (0b011, 0b100)) == graphs.edges_from_pairs([(0, 1)])
     assert graphs.graph_complement(1, 0b11) == 0
+
+
+@pytest.mark.parametrize("v", range(7))
+def test_acyclic_orientations_closed_forms(v):
+    # vertices 2..v+1, so the count may not assume the labels start at 0
+    labels = list(range(2, v + 2))
+    vmask = full_mask(v) << 2
+    path = graphs.edges_from_pairs(zip(labels, labels[1:]))
+    assert graphs.acyclic_orientations(graphs.all_edges_mask(vmask), vmask) == factorial(v)
+    assert graphs.acyclic_orientations(0, vmask) == 1
+    assert graphs.acyclic_orientations(path, vmask) == 2 ** max(v - 1, 0)
+    if v >= 3:
+        cycle = path | graphs.edges_from_pairs([(labels[0], labels[-1])])
+        assert graphs.acyclic_orientations(cycle, vmask) == 2 ** v - 2
+
+
+def _acyclic_by_orientations(g, vmask):
+    # an orientation is acyclic iff some order of the vertices sends every
+    # arc forward
+    edges = graphs.edge_list(g)
+    count = 0
+    for bits in range(1 << len(edges)):
+        arcs = [(i, j) if bits >> t & 1 else (j, i) for t, (i, j) in enumerate(edges)]
+        count += any(all(order.index(a) < order.index(b) for a, b in arcs)
+                     for order in itertools.permutations(mask_labels(vmask)))
+    return count
+
+
+@pytest.mark.parametrize("vmask", [0, 0b1, 0b110, 0b11100, 0b1111, 0b101101])
+def test_acyclic_orientations_of_every_small_graph(vmask):
+    for g in graphs.graphs_on(vmask):
+        assert graphs.acyclic_orientations(g, vmask) == _acyclic_by_orientations(g, vmask)
 
 
 def test_graph_encoding():

@@ -4,6 +4,7 @@ time, which only a traced benchmark run would otherwise show.  And the
 choice between a model's monomial maps and its LinComb maps stays behind
 the model layer."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -41,3 +42,15 @@ def test_only_the_model_layer_reads_monomial():
     readers = {path.name for path in (ROOT / "src" / "species_forge").glob("*.py")
                if re.search(r"\.monomial\b", path.read_text())}
     assert readers <= {"species.py", "models.py"}
+
+
+def test_one_zero_and_one_one():
+    # the `c is ONE` fast paths (convolve, series._coproduct, the had:
+    # structure maps) hold only while every model returns exactlin's objects
+    owners = {path.name for path in (ROOT / "src" / "species_forge").glob("*.py")
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for name in ast.walk(target)
+              if isinstance(name, ast.Name) and name.id in ("ZERO", "ONE")}
+    assert owners == {"exactlin.py"}

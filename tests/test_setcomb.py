@@ -50,6 +50,7 @@ from species_forge.setcomb import (
     rel_length,
     shuffles,
     splittings,
+    submasks,
     support,
 )
 
@@ -333,6 +334,25 @@ def test_quasi_shuffles_and_shuffles():
         la = tuple(1 << i for i in range(a))
         lb = tuple(1 << (a + i) for i in range(b))
         assert len(shuffles(la, lb)) == comb(a + b, a)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_shuffles_are_the_unmerged_quasi_shuffles(n):
+    # brute force: every composition h of [n] restricts to a pair (f, g) on
+    # (S, complement); it is a shuffle of that pair iff no block meets both
+    full = full_mask(n)
+    want = {}
+    for S in submasks(full):
+        T = full ^ S
+        for h in compositions_of(full):
+            if all(b & S == 0 or b & T == 0 for b in h):
+                want.setdefault((comp_restrict(h, S), comp_restrict(h, T)), set()).add(h)
+    for S in submasks(full):
+        for f in compositions_of(S):
+            for g in compositions_of(full ^ S):
+                got = shuffles(f, g)
+                assert len(got) == len(set(got))
+                assert set(got) == want[(f, g)]
 
 
 def test_splittings():

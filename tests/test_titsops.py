@@ -500,6 +500,29 @@ def test_cumulants():
     assert cumulant_partition(L, (7, 8)) == 2
 
 
+def _cumulant_by_partitions(model, n):
+    # the alternating sum over the partition lattice, from its one block
+    bottom = (full_mask(n),)
+    total = 0
+    for y in partitions_of(full_mask(n)):
+        dims = 1
+        for b in y:
+            dims *= model.dim(popcount(b))
+        total += mobius_partition(bottom, y) * dims
+    return total
+
+
+@pytest.mark.parametrize("spec,nmax", [
+    ("E", 6), ("L", 6), ("Lq:2/3", 6), ("Pi", 6), ("G", 6), ("Sigma", 6),
+    ("Sigmaq:2", 6), ("dual:L", 5), ("had:L,Pi", 5)])
+def test_cumulant_is_the_partition_lattice_sum(spec, nmax):
+    # cumulant reads the logarithm of the dimension EGF; the Mobius sum is
+    # the same number by the exponential formula
+    model = build_model(spec)
+    assert [cumulant(model, n) for n in range(nmax + 1)] == \
+        [0] + [_cumulant_by_partitions(model, n) for n in range(1, nmax + 1)]
+
+
 def test_indecomposable_quotients():
     assert [indecomposable_quotient_dim(L, n) for n in (1, 2, 3)] == [1, 0, 0]
     assert [indecomposable_quotient_dim(Sigma, n) for n in (1, 2, 3)] == [1, 1, 1]
