@@ -509,16 +509,7 @@ def check_associativity(model, n):
 
 def check_unitality(model, n):
     """The product with the unit on either side is the identity."""
-    full = full_mask(n)
-    bad = []
-    unit = model.unit()
-    for key in model.basis_on(full):
-        x = LinComb.term(key)
-        if mu_shape(model, (0, full), tensor(unit, x)) != x:
-            bad.append(("left", key))
-        if mu_shape(model, (full, 0), tensor(x, unit)) != x:
-            bad.append(("right", key))
-    return bad
+    return check_axiom(model, "unitality", n)
 
 
 def check_coassociativity(model, n):
@@ -526,18 +517,8 @@ def check_coassociativity(model, n):
 
 
 def check_counitality(model, n):
-    full = full_mask(n)
-    bad = []
-    for x in model.basis_on(full):
-        left = lc_sum(LinComb.term(b, c * model.counit(a))
-                      for (a, b), c in model.coproduct(0, full, x).terms.items())
-        right = lc_sum(LinComb.term(a, c * model.counit(b))
-                       for (a, b), c in model.coproduct(full, 0, x).terms.items())
-        if left != LinComb.term(x):
-            bad.append(("left", x))
-        if right != LinComb.term(x):
-            bad.append(("right", x))
-    return bad
+    """The coproduct followed by the counit on either side is the identity."""
+    return check_axiom(model, "counitality", n)
 
 
 def check_compatibility(model, n):
@@ -595,21 +576,17 @@ def _dec_split(F, G):
 
 def _is_interval_shape(F):
     """True iff the blocks of F are consecutive intervals, in order."""
-    pos = 0
-    for b in F:
-        end = pos + popcount(b)
-        if b != full_mask(end) ^ full_mask(pos):
-            return False
-        pos = end
-    return True
+    ends = itertools.accumulate(map(popcount, F))
+    return all(b == full_mask(end) ^ full_mask(end - popcount(b)) for b, end in zip(F, ends))
 
 
-def _sweep(model, n, shapes, natural, check):
+def _sweep(model, n, sweep, natural):
     """Counterexamples of an axiom whose instances are indexed by a shape F
-    of `shapes` and a key tuple x in the tensor basis over F: check(F, keys)
-    yields the failures of F for every x in keys, and for whatever else the
-    axiom ranges over (the shapes G of the bimonoid square, the triples or
-    pairs of the single-shape axioms), in the order of the full sweep.
+    and a key tuple x in the tensor basis over F.  sweep(model, [n]) gives
+    the shapes F and check, where check(model, F, keys) yields the failures
+    of F for every x in keys, and for whatever else the axiom ranges over (the
+    shapes G of the bimonoid square, the triples or pairs of the
+    single-shape axioms), in the order of the full sweep.
 
     When the model is natural at degree n, one x per orbit of the stabilizer
     of each F decides them all.  The proof: check_naturality gives
@@ -625,29 +602,22 @@ def _sweep(model, n, shapes, natural, check):
     blocks, and by the locality part of check_relabel_action it acts on x
     blockwise, so x ranges over products of per-block orbit representatives
     (orbit_representatives).  A single-shape axiom, F = ([n],), reduces to
-    one key per S_n-orbit of basis(n).
+    one key per S_n-orbit of basis(n); for unitality and counitality p fixes
+    the unit and the counit, as the generators fix every degree-0 key.
 
     `natural` is the verdict check_naturality(model, n) == [].  When it is
     false, or when a representative fails, every F and every x is checked,
     so the counterexamples are always those of the full sweep, in its
     order."""
-    bad = []
-    reps = {}  # block -> orbit_representatives on it
-    for F in shapes:
-        if natural:
-            if not _is_interval_shape(F):
-                continue
-            for b in F:
-                if b not in reps:
-                    reps[b] = orbit_representatives(model, b, n)
-            keys = tuple(itertools.product(*[reps[b] for b in F]))
+    shapes, check = sweep(model, full_mask(n))
+    if natural:
+        reps = functools.cache(lambda b: orbit_representatives(model, b, n))
+        for F in filter(_is_interval_shape, shapes):
+            if next(check(model, F, tuple(itertools.product(*map(reps, F)))), None) is not None:
+                break
         else:
-            keys = tensor_basis(model, F)
-        for failure in check(F, keys):
-            if natural:
-                return _sweep(model, n, shapes, False, check)
-            bad.append(failure)
-    return bad
+            return []
+    return [failure for F in shapes for failure in check(model, F, tensor_basis(model, F))]
 
 
 def _associativity(model, F, keys):
@@ -661,8 +631,20 @@ def _associativity(model, F, keys):
             yield R, S, T, x, y, z
 
 
-def _coassociativity(model, triples, F, keys):
-    for R, S, T in triples:
+def _unitality(model, F, keys):
+    (full,) = F
+    unit = model.unit()
+    for (key,) in keys:
+        x = LinComb.term(key)
+        if mu_shape(model, (0, full), tensor(unit, x)) != x:
+            yield "left", key
+        if mu_shape(model, (full, 0), tensor(x, unit)) != x:
+            yield "right", key
+
+
+def _coassociativity(model, F, keys):
+    (full,) = F
+    for R, S, T in _triples(full):
         for (z,) in keys:
             lhs = delta_shape(model, (R, S, T), LinComb.term(z)).terms
             rhs = {}
@@ -674,6 +656,20 @@ def _coassociativity(model, triples, F, keys):
                 yield R, S, T, z
 
 
+def _counitality(model, F, keys):
+    (full,) = F
+    for (key,) in keys:
+        x = LinComb.term(key)
+        left = lc_sum(LinComb.term(b, c * model.counit(a))
+                      for (a, b), c in model.coproduct(0, full, key).terms.items())
+        right = lc_sum(LinComb.term(a, c * model.counit(b))
+                       for (a, b), c in model.coproduct(full, 0, key).terms.items())
+        if left != x:
+            yield "left", key
+        if right != x:
+            yield "right", key
+
+
 def _commutativity(model, F, keys):
     S, T = F
     f = model.q ** (popcount(S) * popcount(T))
@@ -682,8 +678,9 @@ def _commutativity(model, F, keys):
             yield S, T, x, y
 
 
-def _cocommutativity(model, pairs, F, keys):
-    for S, T in pairs:
+def _cocommutativity(model, F, keys):
+    (full,) = F
+    for S, T in _pairs(full):
         f = model.q ** (popcount(S) * popcount(T))
         for (z,) in keys:
             swapped = LinComb.wrap({(b, a): c * f
@@ -692,7 +689,7 @@ def _cocommutativity(model, pairs, F, keys):
                 yield S, T, z
 
 
-def _compatibility(model, shapes, split, F, keys):
+def _compatibility(model, F, keys, shapes, split):
     """For every G of `shapes`: coproduct along G after product along F
     equals product along the G-side splitting of GF, after the braiding,
     after coproduct along the F-side splitting of FG.  `split(F, G)` returns
@@ -722,43 +719,50 @@ def _compatibility(model, shapes, split, F, keys):
                 yield F, G, x
 
 
+def _squares(shapes, split):
+    return shapes, functools.partial(_compatibility, shapes=shapes, split=split)
+
+
+def _composition_squares(model, full):
+    return _squares(compositions_of(full), _comp_split)
+
+
+def _decomposition_squares(model, full):
+    return _squares(decompositions_of(full, model.max_blocks), _dec_split)
+
+
+# The axiom suite, in the order its reports record it: degree-zero and
+# naturality, then the eight S_n-equivariant axioms, each with its
+# sweep(model, [n]), the shapes F and the check of one shape that _sweep
+# runs.  Higher compatibility runs over the compositions of a connected
+# model, else over the decompositions with at most model.max_blocks blocks.
+_SWEEPS = {
+    "associativity": lambda model, full: (_triples(full), _associativity),
+    "unitality": lambda model, full: ([(full,)], _unitality),
+    "coassociativity": lambda model, full: ([(full,)], _coassociativity),
+    "counitality": lambda model, full: ([(full,)], _counitality),
+    "compatibility": lambda model, full: _squares(decompositions_exact(full, 2), _dec_split),
+    "higher-compatibility": lambda model, full: (
+        _composition_squares if model.connected else _decomposition_squares)(model, full),
+    "commutativity": lambda model, full: (_pairs(full), _commutativity),
+    "cocommutativity": lambda model, full: ([(full,)], _cocommutativity),
+}
+_SUITE = ("degree-zero", "naturality", *_SWEEPS)
+
+
+def _applies(model, axiom, n):
+    """Whether the suite records `axiom` for the model at degree n."""
+    return {"degree-zero": n == 0, "commutativity": model.commutative,
+            "cocommutativity": model.cocommutative}.get(axiom, True)
+
+
 def _axiom_sweep(model, axiom, n, natural):
-    """Counterexamples of one of the six S_n-equivariant axioms at degree n,
-    given the verdict natural = check_naturality(model, n) == []: the
-    axiom's shapes and its check of one shape, run by _sweep."""
-    full = full_mask(n)
-    if axiom == "associativity":
-        return _sweep(model, n, _triples(full), natural, functools.partial(_associativity, model))
-    if axiom == "coassociativity":
-        check = functools.partial(_coassociativity, model, _triples(full))
-        return _sweep(model, n, [(full,)], natural, check)
-    if axiom == "commutativity":
-        return _sweep(model, n, _pairs(full), natural, functools.partial(_commutativity, model))
-    if axiom == "cocommutativity":
-        check = functools.partial(_cocommutativity, model, _pairs(full))
-        return _sweep(model, n, [(full,)], natural, check)
-    if axiom == "compatibility":
-        shapes = decompositions_exact(full, 2)
-        return _sweep(model, n, shapes, natural,
-                      functools.partial(_compatibility, model, shapes, _dec_split))
-    if axiom != "higher-compatibility":
+    """Counterexamples of one of the eight S_n-equivariant axioms at degree
+    n, given the verdict natural = check_naturality(model, n) == []: the
+    axiom's sweep in _SWEEPS, run by _sweep."""
+    if axiom not in _SWEEPS:
         raise ValueError(f"unknown axiom {axiom!r}")
-    return _higher_compatibility(model, n, natural, model.connected)
-
-
-def _higher_shapes(model, n, connected):
-    """The shapes F and G of the higher-compatibility sweep at degree n, and
-    their splitting: the compositions of [n] when `connected`, else the
-    decompositions with at most `model.max_blocks` blocks."""
-    full = full_mask(n)
-    if connected:
-        return compositions_of(full), _comp_split
-    return decompositions_of(full, model.max_blocks), _dec_split
-
-
-def _higher_compatibility(model, n, natural, connected):
-    shapes, split = _higher_shapes(model, n, connected)
-    return _sweep(model, n, shapes, natural, functools.partial(_compatibility, model, shapes, split))
+    return _sweep(model, n, _SWEEPS[axiom], natural)
 
 
 def sweep_instances(model, n):
@@ -766,14 +770,14 @@ def sweep_instances(model, n):
     axiom suite at degree n, the largest of its sweeps: for each shape F the
     keys x over it, a product of component dimensions, times the number of
     shapes G.  Only the shapes are enumerated."""
-    shapes, _ = _higher_shapes(model, n, model.connected)
+    shapes, _ = _SWEEPS["higher-compatibility"](model, full_mask(n))
     dims = [model.dim(k) for k in range(n + 1)]
     return len(shapes) * sum(prod(dims[popcount(b)] for b in F) for F in shapes)
 
 
 def check_higher_compatibility(model, n):
     """The higher-compatibility axiom over all pairs of compositions."""
-    return _higher_compatibility(model, n, not check_naturality(model, n), True)
+    return _sweep(model, n, _composition_squares, not check_naturality(model, n))
 
 
 def _rhs_fast(model, x, delta_shapes, perm, braid, mu_shapes, slices, width):
@@ -818,42 +822,36 @@ def check_higher_compatibility_dec(model, n):
     """Decomposition-indexed variant for non-connected models: F and G range
     over decompositions with at most `model.max_blocks` blocks, with the
     canonical row/column splittings of FG and GF."""
-    return _higher_compatibility(model, n, not check_naturality(model, n), False)
+    return _sweep(model, n, _decomposition_squares, not check_naturality(model, n))
+
+
+def _recorded(model, axiom, n, naturality):
+    """What the suite records under `axiom` at degree n, given naturality."""
+    if axiom == "degree-zero":
+        return check_degree_zero(model)
+    if axiom == "naturality":
+        return naturality
+    return _axiom_sweep(model, axiom, n, not naturality)
 
 
 def check_axiom(model, axiom, n):
-    """Run a single named axiom check at degree n; returns counterexamples."""
-    if axiom == "naturality":
-        return check_naturality(model, n)
-    if axiom == "unitality":
-        return check_unitality(model, n)
-    if axiom == "counitality":
-        return check_counitality(model, n)
-    return _axiom_sweep(model, axiom, n, not check_naturality(model, n))
+    """The counterexamples run_axiom_suite records under `axiom` at degree n."""
+    if axiom not in _SUITE:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return _recorded(model, axiom, n, check_naturality(model, n))
 
 
 def run_axiom_suite(model, nmax):
-    """All applicable axiom checks for degrees 0..nmax; one report per degree.
-    Naturality is checked once per degree, and every swept axiom takes its
-    verdict."""
+    """The axioms of _SUITE that apply, in its order, for degrees 0..nmax;
+    one report per degree.  Naturality is checked once per degree, and every
+    swept axiom takes its verdict."""
     reports = []
     for n in range(nmax + 1):
         rep = AxiomReport(model.name, n)
-        if n == 0:
-            rep.record("degree-zero", check_degree_zero(model))
         naturality = check_naturality(model, n)
-        rep.record("naturality", naturality)
-        axioms = ["associativity", "unitality", "coassociativity", "counitality",
-                  "compatibility", "higher-compatibility"]
-        if model.commutative:
-            axioms.append("commutativity")
-        if model.cocommutative:
-            axioms.append("cocommutativity")
-        for axiom in axioms:
-            if axiom in ("unitality", "counitality"):
-                rep.record(axiom, check_axiom(model, axiom, n))
-            else:
-                rep.record(axiom, _axiom_sweep(model, axiom, n, not naturality))
+        for axiom in _SUITE:
+            if _applies(model, axiom, n):
+                rep.record(axiom, _recorded(model, axiom, n, naturality))
         reports.append(rep)
     return reports
 

@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,10 @@ def test_cli_dump(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["unit"] == ""
     assert {"S": "01", "T": "", "x": "01", "y": "", "out": {"01": "1"}} in payload["product"]
+    # a graph key carries the request's degree; S and T give its vertex set
+    assert main(["dump", "G", "1"]) == 0
+    product = json.loads(capsys.readouterr().out)["product"]
+    assert {"S": "", "T": "0", "x": "1:", "y": "1:", "out": {"1:": "1"}} in product
     # a unit of several keys is written as a linear combination
     assert main(["dump", "dual:SigmaHat:1", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["unit"] == {"": "1", "|": "1"}
@@ -453,6 +459,22 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def _readme_cli_lines():
+    """The `species-forge` lines of the README's CLI code block, comments cut."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("species-forge ")]
+
+
+def test_readme_cli_lines_run(capsys):
+    lines = _readme_cli_lines()
+    assert lines
+    for argv in lines:
+        assert main(argv[1:]) == 0, shlex.join(argv)
+        capsys.readouterr()
 
 
 # every input of the grammar below ends in a documented exit code

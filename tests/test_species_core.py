@@ -28,9 +28,11 @@ from species_forge.species import (
     check_axiom,
     check_coassociativity,
     check_compatibility,
+    check_counitality,
     check_higher_compatibility,
     check_naturality,
     check_relabel_action,
+    check_unitality,
     delta_shape,
     delta_shape_key,
     higher_delta,
@@ -464,21 +466,31 @@ ORACLE_MODELS = {
 }
 
 
-EQUIVARIANT_AXIOMS = ("associativity", "coassociativity", "commutativity",
-                      "cocommutativity", "compatibility", "higher-compatibility")
+EQUIVARIANT_AXIOMS = ("associativity", "unitality", "coassociativity", "counitality",
+                      "commutativity", "cocommutativity", "compatibility",
+                      "higher-compatibility")
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_orbit_reduced_sweeps_match_the_full_sweeps(name):
     # the full sweep (natural=False) is the oracle of the orbit-reduced one;
-    # commutativity fails on the non-commutative models, so their reduced
-    # sweep takes the fallback
+    # commutativity fails on the non-commutative models, and right
+    # (co)unitality on the size-scaled ones, so their reduced sweeps take the
+    # fallback
     model, nmax = ORACLE_MODELS[name]
     for n in range(nmax + 1):
         assert check_naturality(model, n) == []
         for axiom in EQUIVARIANT_AXIOMS:
             reduced = _axiom_sweep(model, axiom, n, True)
             assert reduced == _axiom_sweep(model, axiom, n, False), (name, axiom, n)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_check_axiom_returns_what_the_suite_records(name):
+    model, nmax = ORACLE_MODELS[name]
+    for report in run_axiom_suite(model, min(nmax, 3)):
+        for axiom, bad in report.counterexamples.items():
+            assert check_axiom(model, axiom, report.degree) == bad, (name, axiom, report.degree)
 
 
 def test_opposite_braiding_higher_compatibility_counts():
@@ -492,6 +504,10 @@ def test_size_scaled_models_fail_where_expected():
     product, coproduct = ProductScaledBySize(), CoproductScaledBySize()
     assert [len(check_associativity(product, n)) for n in range(5)] == [0, 1, 5, 37, 269]
     assert [len(check_coassociativity(coproduct, n)) for n in range(5)] == [0, 1, 9, 169, 2025]
+    # the unit and the counit on the right side only, from degree 1 on
+    for n in range(1, 5):
+        assert {side for side, _ in check_unitality(product, n)} == {"right"}
+        assert {side for side, _ in check_counitality(coproduct, n)} == {"right"}
 
 
 # one mu/Delta engine down to degree 0, over every construction
