@@ -65,7 +65,9 @@ EXIT_UNSUPPORTED = 3
 
 GF_MAX_KEYS = 10 ** 6  # basis keys gf may enumerate to count types
 SIGMAHAT_MAX_BLOCKS = 3  # SigmaHat:<k> with more blocks needs SPECIES_FORGE_MAX_N >= k
-SWEEP_MAX_INSTANCES = 2435041  # sweep_instances(Sigma, 5); more needs SPECIES_FORGE_MAX_N >= n
+# sweep_instances(Sigma, 5); more needs SPECIES_FORGE_MAX_N >= n.  It sizes the
+# worst case, the sweep that verify runs for a model failing a bimonoid axiom
+SWEEP_MAX_INSTANCES = 2435041
 
 
 class UsageError(Exception):
@@ -165,7 +167,8 @@ def _check_budget(name, model, n):
     is refused; and the sweep budget: a model whose full higher-compatibility
     sweep at degree n has more instances than Sigma's at degree 5 (a
     Hadamard product, whose components are products of its factors') is
-    refused.  SPECIES_FORGE_MAX_N lifts all three."""
+    refused.  That is the worst case: verify runs the sweep only for a model
+    that fails a bimonoid axiom.  SPECIES_FORGE_MAX_N lifts all three."""
     override = _max_n_override()
     cap = max(degree_budget(name), override)
     if n > cap:

@@ -5,10 +5,10 @@ from math import factorial
 
 import pytest
 
-from species_forge import build_model, dual_model, hadamard, orbit_count
+from species_forge import build_model, dual_model, hadamard, orbit_count, species
 from species_forge.exactlin import LinComb, tensor
 from species_forge.kernels import area, comp_restrict, popcount
-from species_forge.models import CompositionModel, LinearOrderModel
+from species_forge.models import CompositionModel, DecompositionModel, LinearOrderModel
 from species_forge.series import Series, check_invariance
 from species_forge.setcomb import (
     compositions_of,
@@ -315,11 +315,11 @@ def test_orbit_counts():
         orbit_count(build_model("Lq:2"), 2)
 
 
-@pytest.mark.parametrize("name", ["E", "L"])
+@pytest.mark.parametrize("name", ["E", "L", "Pi"])
 def test_degree_six_axiom_suites(name):
-    # a library call, so no CLI degree budget applies; E took about 4 s and
-    # L 14-16 s on a 2-core machine.  Pi is left out: its degree-6
-    # higher-compatibility sweep alone takes about 26 s
+    # a library call, so no CLI degree budget applies; E took about 0.2 s, L
+    # 7 s and Pi 4 s on a 2-core machine, with higher compatibility from the
+    # proposition: its sweep alone would take 3, 4 and 22 s
     reports = run_axiom_suite(build_model(name), 6)
     assert [r.degree for r in reports] == list(range(7))
     assert all(r.ok() for r in reports)
@@ -487,10 +487,65 @@ def test_orbit_reduced_sweeps_match_the_full_sweeps(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_check_axiom_returns_what_the_suite_records(name):
+    # higher compatibility at every degree: the suite may record it from the
+    # proposition, check_axiom always sweeps
     model, nmax = ORACLE_MODELS[name]
-    for report in run_axiom_suite(model, min(nmax, 3)):
+    for report in run_axiom_suite(model, nmax):
         for axiom, bad in report.counterexamples.items():
-            assert check_axiom(model, axiom, report.degree) == bad, (name, axiom, report.degree)
+            if report.degree <= 3 or axiom == "higher-compatibility":
+                assert check_axiom(model, axiom, report.degree) == bad, (name, axiom, report.degree)
+
+
+class SigmaHatReadAsConnected(DecompositionModel):
+    """SigmaHat:1 flagged connected, so the suite sweeps compositions: every
+    premise passes, but its unit does not span the two degree-0 keys, so
+    dropping the empty blocks breaks higher compatibility from degree 2."""
+
+    connected = True
+
+
+# the degrees up to 3 at which the suite sweeps higher compatibility: none
+# where every premise passes (q = 0, generic maps, empty blocks), else every
+# degree from the first failing premise on, named in the comment
+SWEPT_DEGREES = {
+    "E": (E, []), "L": (L, []), "Lq:0": (build_model("Lq:0"), []),
+    "Sigmaq:0": (build_model("Sigmaq:0"), []), "dual:L": (dual_model(L), []),
+    "SigmaHat:3": (build_model("SigmaHat:3"), []),
+    "OppositeAreaSigma": (OppositeAreaSigma(2), [2, 3]),  # compatibility
+    "ProductScaledBySize": (ProductScaledBySize(), [1, 2, 3]),  # unitality
+    "CoproductScaledBySize": (CoproductScaledBySize(), [1, 2, 3]),  # counitality
+    "LabelDependentProduct": (LabelDependentProduct(), [1, 2, 3]),  # unitality
+    "CorruptedModel": (CorruptedModel(), [3]),  # naturality
+    "ProductDoubledOnASubsplit": (ProductDoubledOnASubsplit(), [3]),  # naturality
+    "dual:SigmaHat:2": (build_model("dual:SigmaHat:2"), [0, 1, 2, 3]),  # degree-zero
+    "SigmaHatReadAsConnected": (SigmaHatReadAsConnected(1), [0, 1, 2, 3]),  # dim(0) = 2
+}
+# higher-compatibility counts at degrees 0..3, unchanged by the short cut
+PINNED_COUNTS = {"OppositeAreaSigma": [0, 0, 4, 240], "CorruptedModel": [0, 0, 0, 24],
+                 "dual:SigmaHat:2": [2, 0, 0, 0], "SigmaHatReadAsConnected": [0, 0, 4, 144]}
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT_DEGREES))
+def test_the_suite_sweeps_higher_compatibility_only_after_a_failure(name, monkeypatch):
+    model, expected = SWEPT_DEGREES[name]
+    swept = []
+
+    def counted(model, axiom, n, natural):
+        if axiom == "higher-compatibility":
+            swept.append(n)
+        return _axiom_sweep(model, axiom, n, natural)
+
+    monkeypatch.setattr(species, "_axiom_sweep", counted)
+    reports = run_axiom_suite(model, 3)
+    assert swept == expected
+    monkeypatch.undo()
+    for report in reports:  # where nothing was swept, the sweep agrees
+        if report.degree not in swept:
+            bad = check_axiom(model, "higher-compatibility", report.degree)
+            assert report.counterexamples["higher-compatibility"] == bad, report.degree
+    if name in PINNED_COUNTS:
+        counts = [len(r.counterexamples["higher-compatibility"]) for r in reports]
+        assert counts == PINNED_COUNTS[name]
 
 
 def test_opposite_braiding_higher_compatibility_counts():
