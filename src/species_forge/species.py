@@ -357,10 +357,10 @@ def orbit_representatives(model, mask, n):
     """One key per orbit on basis_on(mask) of the permutations of [n] that
     fix every label outside `mask`, each the first of its orbit in basis
     order, found by a search along the swap and the cycle of
-    _block_generators, the generators check_naturality proves on.  Images
+    _block_generators, the generators of check_relabel_action.  Images
     outside the basis are not followed; the orbits are exact when
-    relabeling is an action that keeps to the basis, as
-    check_relabel_action checks."""
+    relabeling is an action that keeps to the basis, as that check
+    checks."""
     gens = _block_generators(mask, n)
     basis = model.basis_on(mask)
     unseen = set(basis)
@@ -465,18 +465,123 @@ def check_relabel_action(model, n):
 def check_naturality(model, n):
     """Product and coproduct commute with relabeling, for every permutation.
 
-    The squares are checked for the generators of S_n from
-    _block_generators (the swap of 0 and 1 and the cycle over [n]), at
-    every split (S, T) of every subset of [n], and that proves them for all
-    n! permutations.  Each p is a word s_1 ... s_k in the generators.  By
-    the action check, relabeling by p is relabeling by s_k, then ..., then
-    by s_1, and masks compose the same way (mask_permute is an action).
-    Each step sends a split of a subset to a split of a subset and commutes
-    with the structure maps there, so the composite does too.  The iterated
-    maps along a shape are built from the products and coproducts on such
-    sub-splits, so they are natural as well.  Action failures are reported
-    as ("relabel", ...) entries by check_relabel_action."""
+    The square of p at a split (S, T) of a subset of [n] is the pair of
+    identities p mu_(S, T)(x, y) = mu_(pS, pT)(px, py), for the keys x over
+    S and y over T, and (p (x) p) Delta_(S, T)(z) = Delta_(pS, pT)(pz), for
+    the keys z over S | T.  The iterated maps along a shape are built from
+    the products and coproducts on such splits, so once every square holds
+    they are natural as well.
+
+    The action check runs first; its failures are ("relabel", ...) entries.
+    Then the squares are proved from one split per S_n-orbit of splits
+    (_squares_by_transversal).  The orbit of (S, T) is named by (a, b) =
+    (|S|, |T|), and its representative is r0 = (S0, T0) with S0 = [0, a)
+    and T0 = [a, a + b).  The transport p_(S, T) sends S0, T0 and R0 = [n]
+    - S0 - T0 onto S, T and [n] - S - T, each in increasing order.  On the
+    tables of mu and Delta at r0, whose images must be basis keys (over
+    S0 | T0, and pairs over S0 and T0), two checks are made:
+
+    - transport: the square of p_(S, T) at r0 for every other split (S, T)
+      of the orbit, one product per pair (x, y) and one coproduct per key z;
+    - stabiliser: the square at r0 of each generator of the permutations of
+      S0 and of those of T0 (_block_generators), read off the tables.
+
+    The proof that this gives every square.  By the action check,
+    relabeling is an action on the keys over every subset, mask_permute is
+    one on the masks, and p sends the keys over S onto those over pS.  So
+    squares compose, the squares of q2 at (S, T) and of q1 at q2(S, T)
+    giving that of q1 q2 at (S, T), and the square of p at (S, T) gives
+    that of p^-1 at p(S, T).  The stabiliser H of r0 permutes each of S0,
+    T0 and R0 within itself.  The permutations of R0 fix S0 and T0
+    pointwise, so by the locality part of check_relabel_action they fix
+    every key over S0, T0 and S0 | T0, the tables' images included, and
+    their squares at r0 hold.  With
+    the generators of S0 and of T0 they generate H, so the square of every
+    h in H at r0 holds.  Now let q be in S_n, (S, T) = p r0 with p =
+    p_(S, T), and p' = p_(q(S, T)).  Then h = p'^-1 q p fixes r0, so h is
+    in H, and q = p' h p^-1: the squares of p^-1 at (S, T), of h at r0 and
+    of p' at r0 compose to the square of q at (S, T).
+
+    When the action check or the proof fails, the squares of the
+    generators of S_n are checked at every split of every subset
+    (_generator_squares), so the list is always that sweep's, in its
+    order."""
     bad = check_relabel_action(model, n)
+    if not bad and _squares_by_transversal(model, n):
+        return []
+    return bad + _generator_squares(model, n)
+
+
+def _squares_by_transversal(model, n):
+    """Whether the transport and stabiliser checks of check_naturality hold
+    at degree n; False at the first one that fails."""
+    full = full_mask(n)
+    tables = {}  # (a, b) -> _representative_tables at ([0, a), [a, a + b))
+    for U in submasks(full):
+        for S, T in _pairs(U):
+            a, b = popcount(S), popcount(T)
+            S0 = full_mask(a)
+            T0 = full_mask(a + b) ^ S0
+            rep = (S, T) == (S0, T0)
+            if rep:
+                perms = _block_generators(S0, n) + _block_generators(T0, n)
+            else:
+                perms = [mask_labels(S) + mask_labels(T) + mask_labels(full ^ U)]
+            if not perms:
+                continue
+            if (a, b) not in tables:
+                tables[a, b] = _representative_tables(model, S0, T0)
+            table = tables[a, b]
+            if table is None:
+                return False
+            if rep:
+                mu0, delta0 = table[3:]
+                mu, delta = (lambda x, y: mu0.get((x, y))), delta0.get
+            else:
+                mu, delta = ((lambda x, y: model.product(S, T, x, y).terms),
+                             (lambda z: model.coproduct(S, T, z).terms))
+            if not all(_carries(model, table, p, mu, delta) for p in perms):
+                return False
+    return True
+
+
+def _representative_tables(model, S, T):
+    """The keys over S, T and S | T, and the terms of every product and
+    coproduct on the split (S, T); None when a term is not a basis key."""
+    bS, bT, bU = model.basis_on(S), model.basis_on(T), model.basis_on(S | T)
+    mu = {(x, y): model.product(S, T, x, y).terms for x in bS for y in bT}
+    delta = {z: model.coproduct(S, T, z).terms for z in bU}
+    keys_S, keys_T, keys_U = set(bS), set(bT), set(bU)
+    if not all(keys_U.issuperset(terms) for terms in mu.values()):
+        return None
+    if not all(x in keys_S and y in keys_T for terms in delta.values() for x, y in terms):
+        return None
+    return bS, bT, bU, mu, delta
+
+
+def _carries(model, table, p, mu, delta):
+    """Whether relabeling by p carries the tables of a representative onto
+    mu(x, y) and delta(z), the terms of the maps at its image under p."""
+    bS, bT, bU, mu0, delta0 = table
+    pS = {x: model.relabel(p, x) for x in bS}
+    pT = {y: model.relabel(p, y) for y in bT}
+    pU = {z: model.relabel(p, z) for z in bU}
+    return (all(mu(pS[x], pT[y]) == {pU[k]: c for k, c in terms.items()}
+                for (x, y), terms in mu0.items())
+            and all(delta(pU[z]) == {(pS[x], pT[y]): c for (x, y), c in terms.items()}
+                    for z, terms in delta0.items()))
+
+
+def _generator_squares(model, n):
+    """The squares of check_naturality for the generators of S_n from
+    _block_generators, the swap of 0 and 1 and the cycle over [n], at every
+    split (S, T) of every subset of [n]: the failures of
+    ("product", perm, S, T, x, y) and ("coproduct", perm, S, T, z).  Each p
+    is a word in the generators, so once relabeling is an action these
+    squares compose to every square; check_naturality reports this sweep
+    when its own proof does not go through, and the tests take it as the
+    oracle."""
+    bad = []
     gens = _block_generators(full_mask(n), n)
     for U in submasks(full_mask(n)):
         bU = model.basis_on(U)
@@ -591,9 +696,10 @@ def _sweep(model, n, sweep, natural):
     When the model is natural at degree n, one x per orbit of the stabilizer
     of each F decides them all.  The proof: check_naturality gives
     naturality of product and coproduct on every split of every subset of
-    [n], for all of S_n, and so of the iterated maps along every shape.  So
-    for every p in S_n, the two sides of the image of an instance under p
-    are p applied to its two sides, and relabeling is invertible: an
+    [n], for every permutation in S_n (from one split per orbit, or from the
+    squares of the generators), and so of the iterated maps along every
+    shape.  So for every p in S_n, the two sides of the image of an instance
+    under p are p applied to its two sides, and relabeling is invertible: an
     instance fails iff its image under p does.  p also sends what a check
     ranges over for F (all shapes G, all triples or pairs) onto what it
     ranges over for pF.  So F ranges over the shapes whose blocks are
@@ -930,9 +1036,10 @@ def run_axiom_suite(model, nmax):
     suite has checked all of them on [m], by _sweep's proof or by its full
     sweep; the structure maps read masks, so these are the same
     computations inside [n].  Let |I| = m and let p in S_n send [m] onto I.
-    check_naturality at degree n proves that relabeling by p commutes with
-    the product and the coproduct on every split of every subset of [n],
-    so with mu and Delta along every shape.  p keeps the sizes of the
+    check_naturality at degree n proves the square of every permutation at
+    every split of every subset of [n], not only of its generators, so
+    relabeling by p commutes with the product and the coproduct there, and
+    with mu and Delta along every shape.  p keeps the sizes of the
     blocks, so dist, and which intersections are empty, so the block
     permutation.  It fixes every degree-0 key (the locality part of
     check_relabel_action), so the unit and the counit, and it maps the keys
